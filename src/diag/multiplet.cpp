@@ -1,9 +1,9 @@
 #include "diag/multiplet.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 
+#include "diag/residual_index.hpp"
 #include "obs/metrics.hpp"
 
 namespace mdd {
@@ -16,10 +16,6 @@ void count_rank_dropped(std::size_t n) {
       obs::registry().counter("diag.rank_dropped");
   dropped.inc(n);
 }
-
-}  // namespace
-
-namespace {
 
 bool exact_match(const MatchCounts& m) {
   return m.tfsp == 0 && m.tpsf == 0;
@@ -49,101 +45,20 @@ DiagnosisReport diagnose_multiplet(DiagnosisContext& ctx,
     return timed_out;
   };
 
-  // Per-candidate solo error-bit count, for the shortlist's precision
-  // tie-break.
-  std::vector<std::size_t> solo_bits(ctx.n_candidates(), 0);
-  {
-    CancelCheckpoint cp(options.cancel, 16);
-    for (std::size_t i = 0; i < ctx.n_candidates(); ++i) {
-      if (cp()) {
-        timed_out = true;
-        count_rank_dropped(ctx.n_candidates() - i);
-        break;
-      }
-      solo_bits[i] = ctx.solo_signature(i).n_error_bits();
-      ++report.n_candidates_scored;
-    }
+  // Solo signatures projected onto the observed bits, for the residual
+  // shortlist. Shortlists rank by TFSF against the residual only — no
+  // misprediction penalty: a masked defect legitimately predicts errors
+  // the tester never saw, and only exact composite evaluation can judge
+  // that. A tripped deadline leaves the index partial (or empty):
+  // shortlists then surface fewer (or no) extensions and the greedy winds
+  // down.
+  const ResidualIndex index(ctx, options.cancel);
+  report.n_candidates_scored = index.n_indexed();
+  if (index.n_indexed() < ctx.n_candidates()) {
+    timed_out = true;
+    count_rank_dropped(ctx.n_candidates() - index.n_indexed());
   }
-
-  struct H {
-    std::size_t index;
-    std::size_t tfsf;
-  };
-  // Rank extensions by residual coverage, then by *precision*: among
-  // candidates covering the same residual bits prefer the one predicting
-  // the fewest bits outside the residual. Big "mimicker" candidates that
-  // blanket-cover everything rank below the focused complement that
-  // actually corresponds to the remaining defect.
-  auto heur_order = [&](const H& a, const H& b) {
-    if (a.tfsf != b.tfsf) return a.tfsf > b.tfsf;
-    const std::size_t excess_a = solo_bits[a.index] - a.tfsf;
-    const std::size_t excess_b = solo_bits[b.index] - b.tfsf;
-    if (excess_a != excess_b) return excess_a < excess_b;
-    return ctx.candidate(a.index) < ctx.candidate(b.index);
-  };
-
-  // Inverted index: failing pattern -> (candidate, PO-mask) entries of the
-  // candidates' solo signatures. Shortlisting against a residual then only
-  // touches candidates that actually fail on residual patterns, instead of
-  // re-matching the whole pool every round.
-  struct Posting {
-    std::uint32_t candidate;
-    const Word* mask;
-  };
-  std::vector<std::vector<Posting>> postings(observed.n_patterns());
-  {
-    // A tripped deadline leaves the index partial (or empty): shortlists
-    // then surface fewer (or no) extensions and the greedy winds down.
-    CancelCheckpoint cp(options.cancel, 16);
-    for (std::size_t i = 0; i < ctx.n_candidates(); ++i) {
-      if (cp()) {
-        timed_out = true;
-        count_rank_dropped(ctx.n_candidates() - i);
-        break;
-      }
-      const ErrorSignature& sig = ctx.solo_signature(i);
-      for (std::size_t k = 0; k < sig.n_failing_patterns(); ++k) {
-        postings[sig.failing_patterns()[k]].push_back(
-            {static_cast<std::uint32_t>(i), sig.mask(k).data()});
-      }
-    }
-  }
-  std::vector<std::size_t> tfsf_acc(ctx.n_candidates(), 0);
-  std::vector<std::uint32_t> touched;
-  touched.reserve(ctx.n_candidates());
-
-  /// Candidates (not in `exclude`) ranked by TFSF against `residual` — no
-  /// misprediction penalty here: a masked defect legitimately predicts
-  /// errors the tester never saw, and only exact composite evaluation can
-  /// judge that.
-  auto shortlist = [&](const ErrorSignature& residual,
-                       const std::vector<char>& exclude,
-                       std::size_t limit) {
-    const std::size_t nw = residual.n_po_words();
-    for (std::size_t k = 0; k < residual.n_failing_patterns(); ++k) {
-      const std::uint32_t p = residual.failing_patterns()[k];
-      const auto rmask = residual.mask(k);
-      for (const Posting& post : postings[p]) {
-        std::size_t overlap = 0;
-        for (std::size_t w = 0; w < nw; ++w)
-          overlap += static_cast<std::size_t>(
-              std::popcount(rmask[w] & post.mask[w]));
-        if (overlap == 0) continue;
-        if (tfsf_acc[post.candidate] == 0) touched.push_back(post.candidate);
-        tfsf_acc[post.candidate] += overlap;
-      }
-    }
-    std::vector<H> heur;
-    heur.reserve(touched.size());
-    for (std::uint32_t i : touched) {
-      if (!exclude[i] && tfsf_acc[i] > 0) heur.push_back({i, tfsf_acc[i]});
-      tfsf_acc[i] = 0;
-    }
-    touched.clear();
-    std::sort(heur.begin(), heur.end(), heur_order);
-    if (heur.size() > limit) heur.resize(limit);
-    return heur;
-  };
+  using H = ResidualIndex::Entry;
 
   struct State {
     std::vector<std::size_t> members;
@@ -164,9 +79,8 @@ DiagnosisReport diagnose_multiplet(DiagnosisContext& ctx,
       if (expired()) break;
       if (!observed.empty() && exact_match(matcher.match(state.composite)))
         break;
-      const ErrorSignature residual =
-          signature_difference(observed, state.composite);
-      const auto heur = shortlist(residual, in_m, options.shortlist);
+      const auto heur = index.shortlist(index.residual(state.composite), in_m,
+                                        options.shortlist);
       if (heur.empty()) break;
 
       std::size_t best_index = ctx.n_candidates();
@@ -208,7 +122,8 @@ DiagnosisReport diagnose_multiplet(DiagnosisContext& ctx,
   State best{{}, empty_sig, empty_score};
   {
     std::vector<char> none(ctx.n_candidates(), 0);
-    const auto heur0 = shortlist(observed, none, options.shortlist);
+    const auto heur0 =
+        index.shortlist(index.residual(empty_sig), none, options.shortlist);
     struct Seed {
       std::size_t index;
       double score;
@@ -294,9 +209,8 @@ DiagnosisReport diagnose_multiplet(DiagnosisContext& ctx,
             base.empty() ? ErrorSignature(observed.n_patterns(),
                                           observed.n_outputs())
                          : ctx.multiplet_signature(base);
-        const ErrorSignature residual =
-            signature_difference(observed, base_sig);
-        for (const H& h : shortlist(residual, in_multiplet, swap_shortlist)) {
+        for (const H& h : index.shortlist(index.residual(base_sig),
+                                          in_multiplet, swap_shortlist)) {
           // Each trial is a full composite evaluation; without this poll a
           // late deadline overshoots by up to a whole shortlist sweep.
           if (expired()) break;

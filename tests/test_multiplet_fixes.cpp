@@ -1,6 +1,7 @@
-// Regression tests for three multiplet-diagnoser loop bugs: restart
-// seeding order under score ties, deadline polling inside the refinement
-// swap pass, and the reported scored-candidate count.
+// Regression tests for multiplet-diagnoser loop bugs: restart seeding
+// order under score ties, deadline polling inside the refinement swap
+// pass, the reported scored-candidate count, and the dropped-candidate
+// counter under a tripped deadline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include "core/cancel.hpp"
 #include "diag/multiplet.hpp"
 #include "netlist/generator.hpp"
+#include "obs/metrics.hpp"
 
 namespace mdd {
 namespace {
@@ -150,6 +152,32 @@ TEST(MultipletFixes, ScoredCountReflectsActualWork) {
     EXPECT_EQ(r.n_candidates_scored, 0u);
     EXPECT_TRUE(r.suspects.empty());
   }
+}
+
+// ---- diag.rank_dropped ------------------------------------------------------
+
+// A deadline that trips while the candidates are being indexed drops each
+// unindexed candidate once: a pre-cancelled token drops the whole pool,
+// not the whole pool once per indexing pass.
+TEST(MultipletFixes, RankDroppedCountsEachCandidateOnce) {
+  const Case tc("g200");
+  const std::vector<Fault> defect{
+      Fault::stem_sa(tc.netlist.find_net("g_10"), true),
+      Fault::stem_sa(tc.netlist.find_net("g_90"), false)};
+  const Datalog log = tc.log(defect);
+  DiagnosisContext ctx(tc.netlist, tc.patterns, log);
+  ASSERT_GT(ctx.n_candidates(), 0u);
+
+  const obs::Counter& dropped = obs::registry().counter("diag.rank_dropped");
+  const std::uint64_t before = dropped.value();
+  CancelToken token;
+  token.request_cancel();
+  MultipletOptions opt;
+  opt.cancel = &token;
+  const DiagnosisReport r = diagnose_multiplet(ctx, opt);
+  EXPECT_EQ(dropped.value() - before, ctx.n_candidates());
+  EXPECT_TRUE(r.timed_out);
+  EXPECT_TRUE(r.suspects.empty());
 }
 
 }  // namespace
