@@ -24,6 +24,13 @@ struct SweepCase {
   std::size_t n_patterns;
 };
 
+// Without a printer gtest dumps the raw bytes — including the address of
+// `circuit` — into the listed test names, so every build named the cases
+// differently.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << c.circuit << ", " << c.n_patterns << " patterns";
+}
+
 class DiagnosisSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(DiagnosisSweep, SingleStuckAtDiagnosedExactly) {

@@ -314,9 +314,20 @@ TEST(SessionCacheStress, ChurnKeepsByteAccountingExact) {
   // then assert the running byte total still matches a recomputation.
   // Any leak (evicted bytes not subtracted, double-subtraction on a
   // pin/evict race) shows up as accounted != recomputed.
-  const CircuitFiles files[3] = {write_circuit_files("churn_a"),
-                                 write_circuit_files("churn_b"),
-                                 write_circuit_files("churn_c")};
+  //
+  // Each thread holds one pin at a time, so at most kThreads keys are ever
+  // pinned. With kFiles > kThreads + 1 keys, every key gets requested and
+  // the load that makes all of them resident must find an unpinned,
+  // non-MRU victim — eviction is guaranteed under any scheduling. (With
+  // three keys and four threads, a slow scheduler could leave all three
+  // pinned at the third load; then every later get hit and nothing was
+  // ever evicted.)
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kFiles = kThreads + 2;
+  constexpr std::size_t kIters = kFiles;
+  std::vector<CircuitFiles> files;
+  for (std::size_t k = 0; k < kFiles; ++k)
+    files.push_back(write_circuit_files("churn_" + std::to_string(k)));
 
   std::size_t one;
   {
@@ -325,30 +336,29 @@ TEST(SessionCacheStress, ChurnKeepsByteAccountingExact) {
               ->approx_bytes;
   }
 
-  // Room for two of the three sessions: every third distinct get evicts.
+  // Room for two sessions and a half: most distinct gets evict.
   SessionCache cache(2 * one + one / 2);
-  constexpr std::size_t kThreads = 4;
-  constexpr std::size_t kIters = 6;
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t)
     threads.emplace_back([&, t] {
       for (std::size_t i = 0; i < kIters; ++i) {
-        const CircuitFiles& f = files[(t + i) % 3];
+        const CircuitFiles& f = files[(t + i) % kFiles];
         const SessionCache::Pin pin =
             cache.pin(f.netlist_path, f.patterns_path);
         const auto session = cache.get(f.netlist_path, f.patterns_path);
         EXPECT_NE(session, nullptr);
         // Also churn a neighbour without pinning it, so pinned and
         // unpinned entries compete for the same budget.
-        cache.get(files[(t + i + 1) % 3].netlist_path,
-                  files[(t + i + 1) % 3].patterns_path);
+        const CircuitFiles& next = files[(t + i + 1) % kFiles];
+        cache.get(next.netlist_path, next.patterns_path);
       }
     });
   for (std::thread& t : threads) t.join();
 
   const SessionCacheStats s = cache.stats();
   EXPECT_GT(s.evictions, 0u) << "budget was meant to force eviction churn";
-  EXPECT_LE(s.entries, 3u);
+  // A load evicts down to the budget or to the MRU head plus pinned keys.
+  EXPECT_LE(s.entries, kThreads + 1);
   expect_sound_accounting(cache);
 }
 
