@@ -1,53 +1,32 @@
 #include "diag/composite_memo.hpp"
 
-#include "obs/metrics.hpp"
-
 namespace mdd {
 
 namespace {
 
 /// Exact against the accounting tests: the key lives twice (index + clock
 /// ring), the signature payload is its sparse entries.
-std::size_t approx_entry_bytes(const CompositeKey& key,
-                               const ErrorSignature& sig) {
+std::size_t approx_entry_bytes(
+    const CompositeKey& key, const std::shared_ptr<const ErrorSignature>& sig) {
   return 2 * key.members().size() * sizeof(Fault) + sizeof(ErrorSignature) +
-         sig.n_failing_patterns() *
-             (sizeof(std::uint32_t) + sig.n_po_words() * sizeof(Word));
-}
-
-struct CompositeMemoMetrics {
-  obs::Counter& hits = obs::registry().counter("memo.composite.hits");
-  obs::Counter& misses = obs::registry().counter("memo.composite.misses");
-  obs::Counter& evictions =
-      obs::registry().counter("memo.composite.evictions");
-  obs::Counter& inserts = obs::registry().counter("memo.composite.inserts");
-  obs::Counter& declined = obs::registry().counter(
-      "memo.composite.declined");  ///< single entry over the whole budget
-};
-
-CompositeMemoMetrics& composite_memo_metrics() {
-  static CompositeMemoMetrics m;
-  return m;
+         sig->n_failing_patterns() *
+             (sizeof(std::uint32_t) + sig->n_po_words() * sizeof(Word));
 }
 
 }  // namespace
+
+CompositeMemo::CompositeMemo(std::size_t max_bytes)
+    : cache_(max_bytes, &approx_entry_bytes, "memo.composite") {}
 
 std::shared_ptr<const ErrorSignature> CompositeMemo::lookup(
     const CompositeKey& key) {
   std::shared_ptr<store::CompositeSpill> spill;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      ++hits_;
-      composite_memo_metrics().hits.inc();
-      it->second.referenced = true;
-      return it->second.sig;
-    }
+    if (const auto* sig = cache_.find(key)) return *sig;
     spill = spill_;
     if (spill == nullptr) {
-      ++misses_;
-      composite_memo_metrics().misses.inc();
+      cache_.record_miss();
       return nullptr;
     }
   }
@@ -59,55 +38,15 @@ std::shared_ptr<const ErrorSignature> CompositeMemo::lookup(
   std::lock_guard<std::mutex> lock(mutex_);
   if (!from_disk) {
     ++spill_misses_;
-    ++misses_;
-    composite_memo_metrics().misses.inc();
+    cache_.record_miss();
     return nullptr;
   }
   auto sig = std::make_shared<const ErrorSignature>(std::move(*from_disk));
   ++spill_hits_;
-  ++hits_;
-  composite_memo_metrics().hits.inc();
-  // Promote into the memory tier (racing promoters dedup inside admit).
-  admit_locked(key, sig);
+  cache_.record_hit();
+  // Promote into the memory tier (racing promoters dedup inside insert).
+  cache_.insert(key, sig);
   return sig;
-}
-
-void CompositeMemo::make_room(std::size_t need) {
-  // Second chance: a referenced entry survives one hand pass (its bit is
-  // cleared); an unreferenced one is evicted. Every full lap either
-  // evicts something or clears at least one bit, so the sweep terminates.
-  while (bytes_ + need > max_bytes_ && !ring_.empty()) {
-    if (hand_ >= ring_.size()) hand_ = 0;
-    auto it = entries_.find(ring_[hand_]);
-    if (it != entries_.end() && it->second.referenced) {
-      it->second.referenced = false;
-      ++hand_;
-      continue;
-    }
-    if (it != entries_.end()) {
-      bytes_ -= it->second.cost;
-      entries_.erase(it);
-      ++evictions_;
-      composite_memo_metrics().evictions.inc();
-    }
-    ring_[hand_] = std::move(ring_.back());
-    ring_.pop_back();
-  }
-}
-
-void CompositeMemo::admit_locked(const CompositeKey& key,
-                                 std::shared_ptr<const ErrorSignature> sig) {
-  const std::size_t cost = approx_entry_bytes(key, *sig);
-  if (cost > max_bytes_) {
-    composite_memo_metrics().declined.inc();
-    return;
-  }
-  if (entries_.count(key) != 0) return;  // racing computes, same multiplet
-  make_room(cost);
-  entries_.emplace(key, Entry{std::move(sig), cost, false});
-  ring_.push_back(key);
-  bytes_ += cost;
-  composite_memo_metrics().inserts.inc();
 }
 
 void CompositeMemo::store(const CompositeKey& key,
@@ -115,7 +54,7 @@ void CompositeMemo::store(const CompositeKey& key,
   std::shared_ptr<store::CompositeSpill> spill;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    admit_locked(key, sig);
+    cache_.insert(key, sig);
     spill = spill_;
   }
   // Write-through outside the memo lock: the composite reaches disk at
@@ -137,15 +76,7 @@ std::shared_ptr<store::CompositeSpill> CompositeMemo::spill() const {
 
 CompositeMemoStats CompositeMemo::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  CompositeMemoStats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.evictions = evictions_;
-  s.entries = entries_.size();
-  s.approx_bytes = bytes_;
-  s.spill_hits = spill_hits_;
-  s.spill_misses = spill_misses_;
-  return s;
+  return CompositeMemoStats{cache_.stats(), spill_hits_, spill_misses_};
 }
 
 }  // namespace mdd

@@ -10,10 +10,9 @@
 // distinct composite is propagated once.
 //
 // Signatures are stored pre-masking (full-window truth); callers subtract
-// their context's masked bits after lookup. Eviction is second-chance
-// (clock), mirroring the serving layer's SignatureMemo: hot composites
-// that first appear after warm-up still get memoized, and byte accounting
-// is exact against the per-entry cost function. Thread-safe.
+// their context's masked bits after lookup. The memory tier is a
+// `ClockCache` (second-chance eviction, exact byte accounting); this class
+// adds the `.cspill` disk tier. Thread-safe.
 #pragma once
 
 #include <algorithm>
@@ -21,9 +20,9 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "diag/clock_cache.hpp"
 #include "fault/fault.hpp"
 #include "fsim/fsim.hpp"
 #include "store/spill.hpp"
@@ -64,17 +63,19 @@ struct CompositeKeyHash {
   }
 };
 
-struct CompositeMemoStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  std::size_t entries = 0;
-  std::size_t approx_bytes = 0;
+struct CompositeMemoStats : CacheStats {
   /// Disk-tier traffic (zero unless a spill is attached). A spill hit is
   /// NOT a miss: the composite was served without propagation, just from
   /// disk instead of the heap.
   std::uint64_t spill_hits = 0;
   std::uint64_t spill_misses = 0;
+
+  CompositeMemoStats& operator+=(const CompositeMemoStats& o) {
+    CacheStats::operator+=(o);
+    spill_hits += o.spill_hits;
+    spill_misses += o.spill_misses;
+    return *this;
+  }
 };
 
 class CompositeMemo {
@@ -82,8 +83,7 @@ class CompositeMemo {
   /// `max_bytes` bounds the memo's approximate footprint; stores beyond
   /// it evict cold (second-chance) entries to make room. A single entry
   /// larger than the whole budget is declined outright.
-  explicit CompositeMemo(std::size_t max_bytes = 64ull << 20)
-      : max_bytes_(max_bytes) {}
+  explicit CompositeMemo(std::size_t max_bytes = 64ull << 20);
 
   std::shared_ptr<const ErrorSignature> lookup(const CompositeKey& key);
   void store(const CompositeKey& key,
@@ -100,27 +100,10 @@ class CompositeMemo {
   CompositeMemoStats stats() const;
 
  private:
-  struct Entry {
-    std::shared_ptr<const ErrorSignature> sig;
-    std::size_t cost = 0;
-    bool referenced = false;  ///< set on hit, cleared by the clock hand
-  };
-
-  /// Evicts until `need` more bytes fit (caller holds the lock).
-  void make_room(std::size_t need);
-  /// Inserts into the memory tier if it fits (caller holds the lock).
-  void admit_locked(const CompositeKey& key,
-                    std::shared_ptr<const ErrorSignature> sig);
-
-  const std::size_t max_bytes_;
   mutable std::mutex mutex_;
-  std::unordered_map<CompositeKey, Entry, CompositeKeyHash> entries_;
-  std::vector<CompositeKey> ring_;  ///< clock order (swap-with-back)
-  std::size_t hand_ = 0;
-  std::size_t bytes_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
+  ClockCache<CompositeKey, std::shared_ptr<const ErrorSignature>,
+             CompositeKeyHash>
+      cache_;
   std::shared_ptr<store::CompositeSpill> spill_;  ///< disk tier, may be null
   std::uint64_t spill_hits_ = 0;
   std::uint64_t spill_misses_ = 0;

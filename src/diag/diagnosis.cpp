@@ -24,12 +24,10 @@ struct DiagMetrics {
       obs::registry().counter("diag.solo_computes");
   /// Candidates a cancelled warm left cold (they fill lazily later).
   obs::Counter& warm_dropped = obs::registry().counter("diag.warm_dropped");
-  /// Composite (multiplet) signatures actually evaluated...
+  /// Composite (multiplet) signatures actually evaluated; the ones the
+  /// composite memo answered instead count as memo.composite.hits.
   obs::Counter& composite_evals =
       obs::registry().counter("diag.composite_evals");
-  /// ...and the ones the composite memo answered instead.
-  obs::Counter& composite_memo_hits =
-      obs::registry().counter("diag.composite_memo_hits");
   /// Wall time of one composite propagation (the multiplet search's
   /// dominant stage).
   obs::Histogram& composite_ms = obs::registry().latency("diag.composite_ms");
@@ -244,9 +242,7 @@ ErrorSignature DiagnosisContext::multiplet_signature(
   // shareable across contexts; this context's masked bits come off after.
   const CompositeKey key(multiplet, window_.n_patterns());
   std::shared_ptr<const ErrorSignature> sig = composites_->lookup(key);
-  if (sig != nullptr) {
-    diag_metrics().composite_memo_hits.inc();
-  } else {
+  if (sig == nullptr) {
     diag_metrics().composite_evals.inc();
     const auto t0 = std::chrono::steady_clock::now();
     {

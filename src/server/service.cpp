@@ -834,32 +834,22 @@ Json DiagnosisService::stats_json() const {
   // Per-session memo layers, aggregated across resident sessions with one
   // uniform shape per layer (hits/misses/evictions/entries/bytes).
   const MemoLayerStats ls = cache_.layer_stats();
-  const auto memo_json = [](std::uint64_t hits, std::uint64_t misses,
-                            std::uint64_t evictions, std::size_t entries,
-                            std::size_t bytes) {
+  const auto memo_json = [](const CacheStats& c) {
     Json m;
-    m.set("hits", hits);
-    m.set("misses", misses);
-    m.set("evictions", evictions);
-    m.set("entries", entries);
-    m.set("bytes", bytes);
+    m.set("hits", c.hits);
+    m.set("misses", c.misses);
+    m.set("evictions", c.evictions);
+    m.set("entries", c.entries);
+    m.set("bytes", c.approx_bytes);
     return m;
   };
   Json memos;
-  Json signature =
-      memo_json(ls.signature.hits, ls.signature.misses,
-                ls.signature.evictions, ls.signature.entries,
-                ls.signature.approx_bytes);
+  Json signature = memo_json(ls.signature);
   signature.set("store_hits", ls.signature.store_hits);
   signature.set("store_misses", ls.signature.store_misses);
   memos.set("signature", std::move(signature));
-  memos.set("trace", memo_json(ls.traces.hits, ls.traces.misses,
-                               ls.traces.evictions, ls.traces.entries,
-                               ls.traces.approx_bytes));
-  Json composite =
-      memo_json(ls.composites.hits, ls.composites.misses,
-                ls.composites.evictions, ls.composites.entries,
-                ls.composites.approx_bytes);
+  memos.set("trace", memo_json(ls.traces));
+  Json composite = memo_json(ls.composites);
   composite.set("spill_hits", ls.composites.spill_hits);
   composite.set("spill_misses", ls.composites.spill_misses);
   memos.set("composite", std::move(composite));

@@ -303,35 +303,9 @@ MemoLayerStats SessionCache::layer_stats() const {
   for (const auto& [key, entry] : entries_) {
     const std::shared_ptr<const Session> session = entry->session;
     if (session == nullptr) continue;  // still loading
-    if (session->memo) {
-      const SignatureMemoStats s = session->memo->stats();
-      out.signature.hits += s.hits;
-      out.signature.misses += s.misses;
-      out.signature.evictions += s.evictions;
-      out.signature.entries += s.entries;
-      out.signature.approx_bytes += s.approx_bytes;
-      out.signature.store_hits += s.store_hits;
-      out.signature.store_misses += s.store_misses;
-      out.signature.window_restricts += s.window_restricts;
-    }
-    if (session->traces) {
-      const TraceMemoStats s = session->traces->stats();
-      out.traces.hits += s.hits;
-      out.traces.misses += s.misses;
-      out.traces.evictions += s.evictions;
-      out.traces.entries += s.entries;
-      out.traces.approx_bytes += s.approx_bytes;
-    }
-    if (session->composites) {
-      const CompositeMemoStats s = session->composites->stats();
-      out.composites.hits += s.hits;
-      out.composites.misses += s.misses;
-      out.composites.evictions += s.evictions;
-      out.composites.entries += s.entries;
-      out.composites.approx_bytes += s.approx_bytes;
-      out.composites.spill_hits += s.spill_hits;
-      out.composites.spill_misses += s.spill_misses;
-    }
+    if (session->memo) out.signature += session->memo->stats();
+    if (session->traces) out.traces += session->traces->stats();
+    if (session->composites) out.composites += session->composites->stats();
     // Account the reader the memo is serving from NOW — a background
     // refresh may have swapped a newer one in since load time.
     const std::shared_ptr<const store::DictReader> dict =

@@ -85,7 +85,7 @@ struct SessionCacheStats {
 /// session (op=stats reporting; see DESIGN.md §12).
 struct MemoLayerStats {
   SignatureMemoStats signature;
-  TraceMemoStats traces;
+  CacheStats traces;
   CompositeMemoStats composites;
   std::size_t store_sessions = 0;  ///< resident sessions with a store
   std::size_t store_entries = 0;   ///< summed store fault records

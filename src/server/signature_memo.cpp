@@ -6,10 +6,12 @@ namespace mdd::server {
 
 namespace {
 
-std::size_t approx_signature_bytes(const ErrorSignature& sig) {
+template <class Key>
+std::size_t approx_signature_bytes(
+    const Key&, const std::shared_ptr<const ErrorSignature>& sig) {
   return sizeof(ErrorSignature) +
-         sig.n_failing_patterns() *
-             (sizeof(std::uint32_t) + sig.n_po_words() * sizeof(Word));
+         sig->n_failing_patterns() *
+             (sizeof(std::uint32_t) + sig->n_po_words() * sizeof(Word));
 }
 
 /// Restriction to a SHORTER applied window, shape included: the result
@@ -27,13 +29,6 @@ ErrorSignature restrict_to_window(const ErrorSignature& full, std::size_t n) {
 }
 
 struct MemoMetrics {
-  obs::Counter& hits = obs::registry().counter("memo.signature.hits");
-  obs::Counter& misses = obs::registry().counter("memo.signature.misses");
-  obs::Counter& evictions =
-      obs::registry().counter("memo.signature.evictions");
-  obs::Counter& inserts = obs::registry().counter("memo.signature.inserts");
-  obs::Counter& declined = obs::registry().counter(
-      "memo.signature.declined");  ///< single entry over the whole budget
   /// Lookups for a truncated window served by restricting a full-window
   /// entry (memory or store tier).
   obs::Counter& window_restricts =
@@ -52,47 +47,26 @@ MemoMetrics& memo_metrics() {
 
 }  // namespace
 
-void SignatureMemo::admit(const Key& key,
-                          std::shared_ptr<const ErrorSignature> sig) {
-  const std::size_t cost = approx_signature_bytes(*sig);
-  if (cost > max_bytes_) {
-    memo_metrics().declined.inc();
-    return;
-  }
-  if (entries_.count(key) != 0) return;  // racing computes, same key
-  make_room(cost);
-  entries_.emplace(key, Entry{std::move(sig), cost, false});
-  ring_.push_back(key);
-  bytes_ += cost;
-  memo_metrics().inserts.inc();
-}
+SignatureMemo::SignatureMemo(std::size_t max_bytes, std::size_t full_window)
+    : full_window_(full_window),
+      cache_(max_bytes, &approx_signature_bytes<Key>, "memo.signature") {}
 
 std::shared_ptr<const ErrorSignature> SignatureMemo::lookup(
     const Fault& f, std::size_t window_patterns) {
   std::lock_guard<std::mutex> lock(mutex_);
   const Key key{f, window_patterns};
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    ++hits_;
-    memo_metrics().hits.inc();
-    it->second.referenced = true;
-    return it->second.sig;
-  }
+  if (const auto* sig = cache_.find(key)) return *sig;
   // A full-window entry answers any shorter window by restriction — the
   // signature over the first w patterns is a prefix of the full one.
   if (full_window_ != 0 && window_patterns < full_window_) {
-    auto full_it = entries_.find(Key{f, full_window_});
-    if (full_it != entries_.end()) {
-      full_it->second.referenced = true;
+    if (const auto* full = cache_.find(Key{f, full_window_})) {
       auto restricted = std::make_shared<const ErrorSignature>(
-          restrict_to_window(*full_it->second.sig, window_patterns));
-      ++hits_;
+          restrict_to_window(**full, window_patterns));
       ++window_restricts_;
-      memo_metrics().hits.inc();
       memo_metrics().window_restricts.inc();
       // Admit under the exact key: the batch's remaining datalogs with
       // this window shape get pointer copies.
-      admit(key, restricted);
+      cache_.insert(key, restricted);
       return restricted;
     }
   }
@@ -114,7 +88,7 @@ std::shared_ptr<const ErrorSignature> SignatureMemo::lookup(
         }
         // Promote into the memory tier: repeat lookups become pointer
         // copies and the clock policy decides how long it stays hot.
-        admit(key, sig);
+        cache_.insert(key, sig);
         return sig;
       } catch (const store::StoreError&) {
         // Structurally impossible after open-time hashing unless the file
@@ -128,8 +102,7 @@ std::shared_ptr<const ErrorSignature> SignatureMemo::lookup(
       memo_metrics().store_misses.inc();
     }
   }
-  ++misses_;
-  memo_metrics().misses.inc();
+  cache_.record_miss();
   return nullptr;
 }
 
@@ -151,35 +124,12 @@ std::shared_ptr<const store::DictReader> SignatureMemo::store_reader() const {
   return dict_;
 }
 
-void SignatureMemo::make_room(std::size_t need) {
-  // Second chance: a referenced entry survives one hand pass (its bit is
-  // cleared); an unreferenced one is evicted. Every full lap either
-  // evicts something or clears at least one bit, so the sweep terminates.
-  while (bytes_ + need > max_bytes_ && !ring_.empty()) {
-    if (hand_ >= ring_.size()) hand_ = 0;
-    auto it = entries_.find(ring_[hand_]);
-    if (it != entries_.end() && it->second.referenced) {
-      it->second.referenced = false;
-      ++hand_;
-      continue;
-    }
-    if (it != entries_.end()) {
-      bytes_ -= it->second.cost;
-      entries_.erase(it);
-      ++evictions_;
-      memo_metrics().evictions.inc();
-    }
-    ring_[hand_] = ring_.back();
-    ring_.pop_back();
-  }
-}
-
 void SignatureMemo::store(const Fault& f, std::size_t window_patterns,
                           std::shared_ptr<const ErrorSignature> sig) {
   std::shared_ptr<store::FaultJournal> journal;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    admit(Key{f, window_patterns}, std::move(sig));
+    cache_.insert(Key{f, window_patterns}, std::move(sig));
     journal = journal_;
   }
   // Outside the memo lock: the journal has its own mutex and does file
@@ -200,16 +150,8 @@ std::shared_ptr<store::FaultJournal> SignatureMemo::journal() const {
 
 SignatureMemoStats SignatureMemo::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  SignatureMemoStats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.evictions = evictions_;
-  s.entries = entries_.size();
-  s.approx_bytes = bytes_;
-  s.store_hits = store_hits_;
-  s.store_misses = store_misses_;
-  s.window_restricts = window_restricts_;
-  return s;
+  return SignatureMemoStats{cache_.stats(), store_hits_, store_misses_,
+                            window_restricts_};
 }
 
 }  // namespace mdd::server

@@ -14,33 +14,23 @@
 // key is served by restricting the full-window entry (memory tier or the
 // mmap dictionary) — a full window contains every shorter one.
 //
-// Admission under pressure is second-chance (clock) eviction: lookups
-// mark an entry referenced, and a store that would exceed the budget
-// sweeps the clock hand — clearing referenced bits, evicting cold
-// entries — until the newcomer fits. Hot faults that first appear after
-// warm-up therefore still get memoized; a fixed first-come set can no
-// longer squat the budget forever. Byte accounting is exact against the
-// per-entry cost function.
+// The memory tier is a `ClockCache` (second-chance eviction, exact byte
+// accounting); this class adds the window restriction, the mmap store
+// tier and the store-miss journal.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
-#include <vector>
 
+#include "diag/clock_cache.hpp"
 #include "diag/diagnosis.hpp"
 #include "store/journal.hpp"
 #include "store/reader.hpp"
 
 namespace mdd::server {
 
-struct SignatureMemoStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  std::size_t entries = 0;
-  std::size_t approx_bytes = 0;
+struct SignatureMemoStats : CacheStats {
   /// Disk-tier traffic (zero unless a store is attached). A store hit is
   /// NOT a miss: the signature was served without simulation, just from
   /// the mmap instead of the heap.
@@ -49,6 +39,14 @@ struct SignatureMemoStats {
   /// Lookups answered by restricting a full-window signature to a
   /// shorter applied window (counted inside hits/store_hits too).
   std::uint64_t window_restricts = 0;
+
+  SignatureMemoStats& operator+=(const SignatureMemoStats& o) {
+    CacheStats::operator+=(o);
+    store_hits += o.store_hits;
+    store_misses += o.store_misses;
+    window_restricts += o.window_restricts;
+    return *this;
+  }
 };
 
 class SignatureMemo final : public SoloSignatureStore {
@@ -62,8 +60,7 @@ class SignatureMemo final : public SoloSignatureStore {
   /// full-window entry. 0 means unknown (exact-key and dict-derived
   /// serving only).
   explicit SignatureMemo(std::size_t max_bytes = 256ull << 20,
-                         std::size_t full_window = 0)
-      : max_bytes_(max_bytes), full_window_(full_window) {}
+                         std::size_t full_window = 0);
 
   std::shared_ptr<const ErrorSignature> lookup(
       const Fault& f, std::size_t window_patterns) override;
@@ -103,27 +100,10 @@ class SignatureMemo final : public SoloSignatureStore {
       return (FaultHash{}(k.fault) ^ k.window * 0x9e3779b97f4a7c15ull);
     }
   };
-  struct Entry {
-    std::shared_ptr<const ErrorSignature> sig;
-    std::size_t cost = 0;
-    bool referenced = false;  ///< set on hit, cleared by the clock hand
-  };
 
-  /// Evicts until `need` more bytes fit (caller holds the lock).
-  void make_room(std::size_t need);
-  /// Admits `sig` under `key` if it fits (caller holds the lock).
-  void admit(const Key& key, std::shared_ptr<const ErrorSignature> sig);
-
-  const std::size_t max_bytes_;
   std::size_t full_window_ = 0;  ///< session pattern count; 0 = unknown
   mutable std::mutex mutex_;
-  std::unordered_map<Key, Entry, KeyHash> entries_;
-  std::vector<Key> ring_;  ///< clock order (swap-with-back on evict)
-  std::size_t hand_ = 0;
-  std::size_t bytes_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
+  ClockCache<Key, std::shared_ptr<const ErrorSignature>, KeyHash> cache_;
   std::uint64_t window_restricts_ = 0;
   std::shared_ptr<const store::DictReader> dict_;  ///< warm tier, may be null
   std::shared_ptr<store::FaultJournal> journal_;  ///< miss ledger, may be null

@@ -1,55 +1,37 @@
 #include "server/trace_memo.hpp"
 
-#include "obs/metrics.hpp"
-
 namespace mdd::server {
 
 namespace {
 
-struct TraceMemoMetrics {
-  obs::Counter& hits = obs::registry().counter("memo.trace.hits");
-  obs::Counter& misses = obs::registry().counter("memo.trace.misses");
-};
-
-TraceMemoMetrics& trace_memo_metrics() {
-  static TraceMemoMetrics m;
-  return m;
+std::size_t approx_trace_bytes(
+    const std::uint64_t&,
+    const std::shared_ptr<const std::vector<Fault>>& faults) {
+  return sizeof(std::vector<Fault>) + faults->size() * sizeof(Fault) + 64;
 }
 
 }  // namespace
 
+TraceMemo::TraceMemo(std::size_t max_bytes)
+    : cache_(max_bytes, &approx_trace_bytes, "memo.trace") {}
+
 std::shared_ptr<const std::vector<Fault>> TraceMemo::lookup(
     std::uint32_t pattern, std::uint32_t po) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(key(pattern, po));
-  if (it == entries_.end()) {
-    ++misses_;
-    trace_memo_metrics().misses.inc();
-    return nullptr;
-  }
-  ++hits_;
-  trace_memo_metrics().hits.inc();
-  return it->second;
+  if (const auto* faults = cache_.find(key(pattern, po))) return *faults;
+  cache_.record_miss();
+  return nullptr;
 }
 
 void TraceMemo::store(std::uint32_t pattern, std::uint32_t po,
                       std::shared_ptr<const std::vector<Fault>> faults) {
-  const std::size_t cost =
-      sizeof(std::vector<Fault>) + faults->size() * sizeof(Fault) + 64;
   std::lock_guard<std::mutex> lock(mutex_);
-  if (bytes_ + cost > max_bytes_) return;
-  auto [it, inserted] = entries_.emplace(key(pattern, po), std::move(faults));
-  if (inserted) bytes_ += cost;
+  cache_.insert(key(pattern, po), std::move(faults));
 }
 
-TraceMemoStats TraceMemo::stats() const {
+CacheStats TraceMemo::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  TraceMemoStats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.entries = entries_.size();
-  s.approx_bytes = bytes_;
-  return s;
+  return cache_.stats();
 }
 
 }  // namespace mdd::server

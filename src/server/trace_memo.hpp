@@ -5,56 +5,39 @@
 // function of (netlist, patterns), so datalogs that report overlapping
 // failures — repeats, or distinct dies failing the same way — share their
 // back-traces. `TraceMemo` is the session-scoped `CptTraceStore`
-// implementation: a bounded (pattern, output) → fault-vector map; once
-// full, new traces are declined and existing entries keep serving hits.
+// implementation: a bounded (pattern, output) → fault-vector map whose
+// memory tier is a `ClockCache`, so a full memo evicts cold traces to
+// admit new ones.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "diag/candidates.hpp"
+#include "diag/clock_cache.hpp"
 
 namespace mdd::server {
 
-struct TraceMemoStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  /// Always 0 today: a full TraceMemo declines new entries instead of
-  /// evicting. Present so op=stats reports every memo layer with one
-  /// uniform shape (hits/misses/evictions/entries/bytes).
-  std::uint64_t evictions = 0;
-  std::size_t entries = 0;
-  std::size_t approx_bytes = 0;
-};
-
 class TraceMemo final : public CptTraceStore {
  public:
-  explicit TraceMemo(std::size_t max_bytes = 64ull << 20)
-      : max_bytes_(max_bytes) {}
+  explicit TraceMemo(std::size_t max_bytes = 64ull << 20);
 
   std::shared_ptr<const std::vector<Fault>> lookup(std::uint32_t pattern,
                                                    std::uint32_t po) override;
   void store(std::uint32_t pattern, std::uint32_t po,
              std::shared_ptr<const std::vector<Fault>> faults) override;
 
-  TraceMemoStats stats() const;
+  CacheStats stats() const;
 
  private:
   static std::uint64_t key(std::uint32_t pattern, std::uint32_t po) {
     return (std::uint64_t{pattern} << 32) | po;
   }
 
-  const std::size_t max_bytes_;
   mutable std::mutex mutex_;
-  std::unordered_map<std::uint64_t,
-                     std::shared_ptr<const std::vector<Fault>>>
-      entries_;
-  std::size_t bytes_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
+  ClockCache<std::uint64_t, std::shared_ptr<const std::vector<Fault>>> cache_;
 };
 
 }  // namespace mdd::server

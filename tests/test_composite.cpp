@@ -221,7 +221,7 @@ TEST(ContextComposite, MemoServesRepeatQueriesIdentically) {
     if (ctx.candidate(i).is_stuck_at()) universe.push_back(ctx.candidate(i));
   ASSERT_GT(universe.size(), 4u);
 
-  obs::Counter& hits = obs::registry().counter("diag.composite_memo_hits");
+  obs::Counter& hits = obs::registry().counter("memo.composite.hits");
   obs::Counter& evals = obs::registry().counter("diag.composite_evals");
   const std::uint64_t hits_before = hits.value();
   const std::uint64_t evals_before = evals.value();

@@ -1,13 +1,9 @@
-// CompositeMemo unit tests: admission after fill-up, second-chance
-// eviction, exact byte accounting, oversized/duplicate handling, key
-// canonicalization, and bounded concurrent behavior (this file builds
-// into the tsan-labelled binary).
+// CompositeMemo key tests: member-order-independent keys and window
+// separation. Eviction is covered for all three session memos by
+// test_memo_eviction.cpp.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
-#include <random>
-#include <thread>
 #include <vector>
 
 #include "diag/composite_memo.hpp"
@@ -15,30 +11,13 @@
 namespace mdd {
 namespace {
 
-/// Identically-shaped signatures so every memo entry has the same cost —
-/// the eviction arithmetic in the tests stays exact.
+/// A signature failing patterns 0..n_failing-1 on one output.
 std::shared_ptr<const ErrorSignature> make_signature(std::size_t n_failing) {
   auto sig = std::make_shared<ErrorSignature>(64, 4);
   const std::vector<Word> mask(sig->n_po_words(), Word{1});
   for (std::size_t p = 0; p < n_failing; ++p)
     sig->append(static_cast<std::uint32_t>(p), mask);
   return sig;
-}
-
-/// Same-size multiplets so CompositeKey costs are uniform too.
-CompositeKey nth_key(std::size_t n) {
-  const Fault members[2] = {
-      Fault::stem_sa(static_cast<std::uint32_t>(n), (n & 1) != 0),
-      Fault::stem_sa(static_cast<std::uint32_t>(n + 1000), false)};
-  return CompositeKey(members);
-}
-
-std::size_t budget_for(std::size_t n, std::size_t cost) { return n * cost; }
-
-std::size_t one_entry_cost() {
-  CompositeMemo probe(1 << 20);
-  probe.store(nth_key(0), make_signature(8));
-  return probe.stats().approx_bytes;
 }
 
 TEST(CompositeMemo, KeyIsOrderIndependent) {
@@ -72,102 +51,6 @@ TEST(CompositeMemo, WindowLengthSeparatesKeys) {
   memo.store(CompositeKey(ab, 32), truncated);
   EXPECT_EQ(memo.lookup(CompositeKey(ab, 64)).get(), full.get());
   EXPECT_EQ(memo.lookup(CompositeKey(ab, 32)).get(), truncated.get());
-}
-
-TEST(CompositeMemo, AdmitsNewEntriesAfterFillingUp) {
-  const std::size_t cost = one_entry_cost();
-  ASSERT_GT(cost, 0u);
-  CompositeMemo memo(budget_for(4, cost));
-
-  for (std::size_t i = 0; i < 8; ++i)
-    memo.store(nth_key(i), make_signature(8));
-
-  const CompositeKey hot = nth_key(100);
-  memo.store(hot, make_signature(8));
-  EXPECT_NE(memo.lookup(hot), nullptr)
-      << "a full memo must evict cold entries, not decline new ones";
-
-  const CompositeMemoStats stats = memo.stats();
-  EXPECT_GT(stats.evictions, 0u);
-  EXPECT_EQ(stats.entries, 4u);
-  EXPECT_LE(stats.approx_bytes, budget_for(4, cost));
-}
-
-TEST(CompositeMemo, SecondChanceSparesRecentlyUsedEntries) {
-  const std::size_t cost = one_entry_cost();
-  CompositeMemo memo(budget_for(4, cost));
-  for (std::size_t i = 0; i < 4; ++i)
-    memo.store(nth_key(i), make_signature(8));
-
-  // Reference entry 0; the clock hand must then clear its bit and pass
-  // over it, evicting the first unreferenced entry (entry 1) instead.
-  EXPECT_NE(memo.lookup(nth_key(0)), nullptr);
-  memo.store(nth_key(4), make_signature(8));
-
-  EXPECT_NE(memo.lookup(nth_key(0)), nullptr);
-  EXPECT_EQ(memo.lookup(nth_key(1)), nullptr);
-  EXPECT_NE(memo.lookup(nth_key(4)), nullptr);
-}
-
-TEST(CompositeMemo, ByteAccountingIsExactAcrossEvictions) {
-  const std::size_t cost = one_entry_cost();
-  CompositeMemo memo(budget_for(3, cost));
-  for (std::size_t i = 0; i < 10; ++i) {
-    memo.store(nth_key(i), make_signature(8));
-    const CompositeMemoStats stats = memo.stats();
-    EXPECT_EQ(stats.approx_bytes, stats.entries * cost);
-    EXPECT_LE(stats.approx_bytes, budget_for(3, cost));
-  }
-  EXPECT_EQ(memo.stats().entries, 3u);
-}
-
-TEST(CompositeMemo, OversizedEntryIsDeclinedOutright) {
-  const std::size_t cost = one_entry_cost();
-  CompositeMemo memo(cost / 2);
-  memo.store(nth_key(0), make_signature(8));
-  EXPECT_EQ(memo.lookup(nth_key(0)), nullptr);
-  EXPECT_EQ(memo.stats().entries, 0u);
-  EXPECT_EQ(memo.stats().approx_bytes, 0u);
-}
-
-TEST(CompositeMemo, DuplicateStoreKeepsFirstEntryAndAccounting) {
-  const std::size_t cost = one_entry_cost();
-  CompositeMemo memo(budget_for(4, cost));
-  const auto first = make_signature(8);
-  memo.store(nth_key(0), first);
-  memo.store(nth_key(0), make_signature(8));  // racing compute, same set
-  EXPECT_EQ(memo.lookup(nth_key(0)).get(), first.get());
-  EXPECT_EQ(memo.stats().entries, 1u);
-  EXPECT_EQ(memo.stats().approx_bytes, cost);
-}
-
-TEST(CompositeMemo, ConcurrentChurnStaysWithinBudget) {
-  const std::size_t cost = one_entry_cost();
-  const std::size_t budget = budget_for(6, cost);
-  CompositeMemo memo(budget);
-  constexpr int kThreads = 4;
-  constexpr int kOpsPerThread = 2000;
-
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&memo, t] {
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        const CompositeKey k = nth_key(static_cast<std::size_t>(
-            (t * 7 + i) % 32));
-        if (auto sig = memo.lookup(k)) {
-          // Entries are immutable once stored; a hit must stay readable.
-          EXPECT_EQ(sig->n_failing_patterns(), 8u);
-        } else {
-          memo.store(k, make_signature(8));
-        }
-      }
-    });
-  for (std::thread& t : threads) t.join();
-
-  const CompositeMemoStats stats = memo.stats();
-  EXPECT_LE(stats.approx_bytes, budget);
-  EXPECT_EQ(stats.approx_bytes, stats.entries * cost);
-  EXPECT_GT(stats.hits + stats.misses, 0u);
 }
 
 }  // namespace

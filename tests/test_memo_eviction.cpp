@@ -1,0 +1,208 @@
+// Eviction tests shared by the three session memos (SignatureMemo,
+// CompositeMemo, TraceMemo), whose memory tiers are one ClockCache. A
+// memo that stops admitting once full lets a first-come set squat the
+// budget: a session whose early requests filled it could never memoize
+// what its later (hotter) requests keep recomputing. These tests pin down
+// admission after fill-up, survival of referenced entries, exact byte
+// accounting, oversized/duplicate handling, and bounded concurrent
+// behavior (this file builds into the tsan-labelled binary).
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <thread>
+#include <vector>
+
+#include "diag/composite_memo.hpp"
+#include "server/signature_memo.hpp"
+#include "server/trace_memo.hpp"
+
+namespace mdd {
+namespace {
+
+/// Window length shared by the fixed-shape signatures below.
+constexpr std::size_t kWindow = 64;
+
+/// Every value below has 8 items (failing patterns or faults), so every
+/// entry of one memo costs the same and the eviction arithmetic is exact.
+constexpr std::size_t kItems = 8;
+
+std::shared_ptr<const ErrorSignature> make_signature() {
+  auto sig = std::make_shared<ErrorSignature>(kWindow, 4);
+  const std::vector<Word> mask(sig->n_po_words(), Word{1});
+  for (std::size_t p = 0; p < kItems; ++p)
+    sig->append(static_cast<std::uint32_t>(p), mask);
+  return sig;
+}
+
+Fault nth_fault(std::size_t n) {
+  return Fault::stem_sa(static_cast<std::uint32_t>(n), (n & 1) != 0);
+}
+
+/// Adapters giving the suite one vocabulary: the n-th key, a fresh value,
+/// and a value's item count.
+struct SignatureMemoCase {
+  using Memo = server::SignatureMemo;
+  using Value = std::shared_ptr<const ErrorSignature>;
+  static Value make_value() { return make_signature(); }
+  static void store(Memo& m, std::size_t n, Value v) {
+    m.store(nth_fault(n), kWindow, std::move(v));
+  }
+  static Value lookup(Memo& m, std::size_t n) {
+    return m.lookup(nth_fault(n), kWindow);
+  }
+  static std::size_t items(const Value& v) { return v->n_failing_patterns(); }
+};
+
+struct CompositeMemoCase {
+  using Memo = CompositeMemo;
+  using Value = std::shared_ptr<const ErrorSignature>;
+  /// Same-size multiplets so key costs are uniform too.
+  static CompositeKey key(std::size_t n) {
+    const Fault members[2] = {
+        nth_fault(n), Fault::stem_sa(static_cast<std::uint32_t>(n + 1000),
+                                     false)};
+    return CompositeKey(members);
+  }
+  static Value make_value() { return make_signature(); }
+  static void store(Memo& m, std::size_t n, Value v) {
+    m.store(key(n), std::move(v));
+  }
+  static Value lookup(Memo& m, std::size_t n) { return m.lookup(key(n)); }
+  static std::size_t items(const Value& v) { return v->n_failing_patterns(); }
+};
+
+struct TraceMemoCase {
+  using Memo = server::TraceMemo;
+  using Value = std::shared_ptr<const std::vector<Fault>>;
+  static Value make_value() {
+    std::vector<Fault> faults;
+    for (std::size_t i = 0; i < kItems; ++i) faults.push_back(nth_fault(i));
+    return std::make_shared<const std::vector<Fault>>(std::move(faults));
+  }
+  static void store(Memo& m, std::size_t n, Value v) {
+    m.store(static_cast<std::uint32_t>(n), static_cast<std::uint32_t>(n % 3),
+            std::move(v));
+  }
+  static Value lookup(Memo& m, std::size_t n) {
+    return m.lookup(static_cast<std::uint32_t>(n),
+                    static_cast<std::uint32_t>(n % 3));
+  }
+  static std::size_t items(const Value& v) { return v->size(); }
+};
+
+template <class Case>
+class MemoEviction : public ::testing::Test {
+ protected:
+  using Memo = typename Case::Memo;
+
+  static void store(Memo& m, std::size_t n) {
+    Case::store(m, n, Case::make_value());
+  }
+
+  static std::size_t one_entry_cost() {
+    Memo probe(1 << 20);
+    store(probe, 0);
+    return probe.stats().approx_bytes;
+  }
+};
+
+using MemoCases =
+    ::testing::Types<SignatureMemoCase, CompositeMemoCase, TraceMemoCase>;
+TYPED_TEST_SUITE(MemoEviction, MemoCases);
+
+TYPED_TEST(MemoEviction, AdmitsNewEntriesAfterFillingUp) {
+  const std::size_t cost = this->one_entry_cost();
+  ASSERT_GT(cost, 0u);
+  typename TestFixture::Memo memo(4 * cost);
+
+  // Fill the budget exactly, then keep storing: a memo that declines
+  // once full would never admit the "hot" key below.
+  for (std::size_t i = 0; i < 8; ++i) this->store(memo, i);
+
+  this->store(memo, 100);
+  EXPECT_NE(TypeParam::lookup(memo, 100), nullptr)
+      << "a full memo must evict cold entries, not decline new ones";
+
+  const auto stats = memo.stats();
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_EQ(stats.entries, 4u);
+  EXPECT_LE(stats.approx_bytes, 4 * cost);
+}
+
+TYPED_TEST(MemoEviction, SecondChanceSparesRecentlyUsedEntries) {
+  const std::size_t cost = this->one_entry_cost();
+  typename TestFixture::Memo memo(4 * cost);
+  for (std::size_t i = 0; i < 4; ++i) this->store(memo, i);
+
+  // Reference entry 0; the clock hand must then clear its bit and pass
+  // over it, evicting the first unreferenced entry (entry 1) instead.
+  EXPECT_NE(TypeParam::lookup(memo, 0), nullptr);
+  this->store(memo, 4);
+
+  EXPECT_NE(TypeParam::lookup(memo, 0), nullptr);
+  EXPECT_EQ(TypeParam::lookup(memo, 1), nullptr);
+  EXPECT_NE(TypeParam::lookup(memo, 4), nullptr);
+}
+
+TYPED_TEST(MemoEviction, ByteAccountingIsExactAcrossEvictions) {
+  const std::size_t cost = this->one_entry_cost();
+  typename TestFixture::Memo memo(3 * cost);
+  for (std::size_t i = 0; i < 10; ++i) {
+    this->store(memo, i);
+    const auto stats = memo.stats();
+    EXPECT_EQ(stats.approx_bytes, stats.entries * cost);
+    EXPECT_LE(stats.approx_bytes, 3 * cost);
+  }
+  EXPECT_EQ(memo.stats().entries, 3u);
+}
+
+TYPED_TEST(MemoEviction, OversizedEntryIsDeclinedOutright) {
+  const std::size_t cost = this->one_entry_cost();
+  typename TestFixture::Memo memo(cost / 2);
+  this->store(memo, 0);
+  EXPECT_EQ(TypeParam::lookup(memo, 0), nullptr);
+  EXPECT_EQ(memo.stats().entries, 0u);
+  EXPECT_EQ(memo.stats().approx_bytes, 0u);
+}
+
+TYPED_TEST(MemoEviction, DuplicateStoreKeepsFirstEntryAndAccounting) {
+  const std::size_t cost = this->one_entry_cost();
+  typename TestFixture::Memo memo(4 * cost);
+  const auto first = TypeParam::make_value();
+  TypeParam::store(memo, 0, first);
+  this->store(memo, 0);  // racing compute, same key
+  EXPECT_EQ(TypeParam::lookup(memo, 0).get(), first.get());
+  EXPECT_EQ(memo.stats().entries, 1u);
+  EXPECT_EQ(memo.stats().approx_bytes, cost);
+}
+
+TYPED_TEST(MemoEviction, ConcurrentChurnStaysWithinBudget) {
+  const std::size_t cost = this->one_entry_cost();
+  const std::size_t budget = 6 * cost;
+  typename TestFixture::Memo memo(budget);
+  constexpr int kThreads = 4;
+  constexpr int kOpsPerThread = 2000;
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&memo, t] {
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const auto n = static_cast<std::size_t>((t * 7 + i) % 32);
+        if (auto value = TypeParam::lookup(memo, n)) {
+          // Entries are immutable once stored; a hit must stay readable.
+          EXPECT_EQ(TypeParam::items(value), kItems);
+        } else {
+          TestFixture::store(memo, n);
+        }
+      }
+    });
+  for (std::thread& t : threads) t.join();
+
+  const auto stats = memo.stats();
+  EXPECT_LE(stats.approx_bytes, budget);
+  EXPECT_EQ(stats.approx_bytes, stats.entries * cost);
+  EXPECT_GT(stats.hits + stats.misses, 0u);
+}
+
+}  // namespace
+}  // namespace mdd

@@ -1,15 +1,9 @@
-// Regression tests for SignatureMemo admission under budget pressure. The
-// original memo stopped admitting permanently once full: a diagnosis
-// session whose early requests filled the budget could never memoize the
-// faults its later (hotter) requests kept recomputing. The memo now runs
-// second-chance (clock) eviction — these tests pin down admission after
-// fill-up, survival of referenced entries, exact byte accounting, and
-// bounded concurrent behavior (this file builds into the tsan-labelled
-// binary).
+// SignatureMemo key tests: (fault, window) keys and the restriction of a
+// full-window entry to a shorter window. Eviction is covered for all
+// three session memos by test_memo_eviction.cpp.
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "server/signature_memo.hpp"
@@ -21,8 +15,7 @@ namespace {
 /// keyed by (fault, window) now, so the tests name it explicitly.
 constexpr std::size_t kWindow = 64;
 
-/// Identically-shaped signatures so every memo entry has the same cost —
-/// the eviction arithmetic in the tests stays exact.
+/// A signature failing patterns 0..n_failing-1 on one output.
 std::shared_ptr<const ErrorSignature> make_signature(std::size_t n_failing) {
   auto sig = std::make_shared<ErrorSignature>(kWindow, 4);
   const std::vector<Word> mask(sig->n_po_words(), Word{1});
@@ -33,113 +26,6 @@ std::shared_ptr<const ErrorSignature> make_signature(std::size_t n_failing) {
 
 Fault nth_fault(std::size_t n) {
   return Fault::stem_sa(static_cast<std::uint32_t>(n), (n & 1) != 0);
-}
-
-/// Budget that fits exactly `n` entries of `cost` bytes.
-std::size_t budget_for(std::size_t n, std::size_t cost) { return n * cost; }
-
-std::size_t one_entry_cost() {
-  SignatureMemo probe(1 << 20);
-  probe.store(nth_fault(0), kWindow, make_signature(8));
-  return probe.stats().approx_bytes;
-}
-
-TEST(SignatureMemo, AdmitsNewEntriesAfterFillingUp) {
-  const std::size_t cost = one_entry_cost();
-  ASSERT_GT(cost, 0u);
-  SignatureMemo memo(budget_for(4, cost));
-
-  // Fill the budget exactly, then keep storing: before the eviction fix
-  // the memo silently declined everything from here on, so the "hot"
-  // fault below would never be admitted.
-  for (std::size_t i = 0; i < 8; ++i)
-    memo.store(nth_fault(i), kWindow, make_signature(8));
-
-  const Fault hot = nth_fault(100);
-  memo.store(hot, kWindow, make_signature(8));
-  EXPECT_NE(memo.lookup(hot, kWindow), nullptr)
-      << "a full memo must evict cold entries, not decline new ones";
-
-  const SignatureMemoStats stats = memo.stats();
-  EXPECT_GT(stats.evictions, 0u);
-  EXPECT_EQ(stats.entries, 4u);
-  EXPECT_LE(stats.approx_bytes, budget_for(4, cost));
-}
-
-TEST(SignatureMemo, SecondChanceSparesRecentlyUsedEntries) {
-  const std::size_t cost = one_entry_cost();
-  SignatureMemo memo(budget_for(4, cost));
-  for (std::size_t i = 0; i < 4; ++i)
-    memo.store(nth_fault(i), kWindow, make_signature(8));
-
-  // Reference entry 0; the clock hand must then clear its bit and pass
-  // over it, evicting the first unreferenced entry (entry 1) instead.
-  EXPECT_NE(memo.lookup(nth_fault(0), kWindow), nullptr);
-  memo.store(nth_fault(4), kWindow, make_signature(8));
-
-  EXPECT_NE(memo.lookup(nth_fault(0), kWindow), nullptr);
-  EXPECT_EQ(memo.lookup(nth_fault(1), kWindow), nullptr);
-  EXPECT_NE(memo.lookup(nth_fault(4), kWindow), nullptr);
-}
-
-TEST(SignatureMemo, ByteAccountingIsExactAcrossEvictions) {
-  const std::size_t cost = one_entry_cost();
-  SignatureMemo memo(budget_for(3, cost));
-  for (std::size_t i = 0; i < 10; ++i) {
-    memo.store(nth_fault(i), kWindow, make_signature(8));
-    const SignatureMemoStats stats = memo.stats();
-    EXPECT_EQ(stats.approx_bytes, stats.entries * cost);
-    EXPECT_LE(stats.approx_bytes, budget_for(3, cost));
-  }
-  EXPECT_EQ(memo.stats().entries, 3u);
-}
-
-TEST(SignatureMemo, OversizedEntryIsDeclinedOutright) {
-  const std::size_t cost = one_entry_cost();
-  SignatureMemo memo(cost / 2);
-  memo.store(nth_fault(0), kWindow, make_signature(8));
-  EXPECT_EQ(memo.lookup(nth_fault(0), kWindow), nullptr);
-  EXPECT_EQ(memo.stats().entries, 0u);
-  EXPECT_EQ(memo.stats().approx_bytes, 0u);
-}
-
-TEST(SignatureMemo, DuplicateStoreKeepsFirstEntryAndAccounting) {
-  const std::size_t cost = one_entry_cost();
-  SignatureMemo memo(budget_for(4, cost));
-  const auto first = make_signature(8);
-  memo.store(nth_fault(0), kWindow, first);
-  memo.store(nth_fault(0), kWindow, make_signature(8));  // racing compute, same fault
-  EXPECT_EQ(memo.lookup(nth_fault(0), kWindow).get(), first.get());
-  EXPECT_EQ(memo.stats().entries, 1u);
-  EXPECT_EQ(memo.stats().approx_bytes, cost);
-}
-
-TEST(SignatureMemo, ConcurrentChurnStaysWithinBudget) {
-  const std::size_t cost = one_entry_cost();
-  const std::size_t budget = budget_for(6, cost);
-  SignatureMemo memo(budget);
-  constexpr int kThreads = 4;
-  constexpr int kOpsPerThread = 2000;
-
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&memo, t] {
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        const Fault f = nth_fault(static_cast<std::size_t>((t * 7 + i) % 32));
-        if (auto sig = memo.lookup(f, kWindow)) {
-          // Entries are immutable once stored; a hit must stay readable.
-          EXPECT_EQ(sig->n_failing_patterns(), 8u);
-        } else {
-          memo.store(f, kWindow, make_signature(8));
-        }
-      }
-    });
-  for (std::thread& t : threads) t.join();
-
-  const SignatureMemoStats stats = memo.stats();
-  EXPECT_LE(stats.approx_bytes, budget);
-  EXPECT_EQ(stats.approx_bytes, stats.entries * cost);
-  EXPECT_GT(stats.hits + stats.misses, 0u);
 }
 
 TEST(SignatureMemo, WindowsKeySeparateEntries) {

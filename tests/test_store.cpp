@@ -17,6 +17,7 @@
 #include "fsim/fsim.hpp"
 #include "fsim/propagate.hpp"
 #include "netlist/generator.hpp"
+#include "obs/metrics.hpp"
 #include "server/signature_memo.hpp"
 #include "sim/kernel.hpp"
 #include "store/reader.hpp"
@@ -377,6 +378,56 @@ TEST(StoreMemo, DiskTierPromotesIntoMemoryTier) {
   // A fault the store lacks is a miss on both tiers.
   EXPECT_EQ(memo.lookup(Fault::slow_to_rise(0), full), nullptr);
   EXPECT_EQ(memo.stats().store_misses, 1u);
+}
+
+TEST(StoreMemo, EachAnswerCountsOnceInItsTier) {
+  // perfbench derives the memo and store hit ratios from these registry
+  // counters, so what each answer counts is pinned here: a .mdds answer
+  // is a store hit (neither a memo hit nor a miss), a window-restricted
+  // answer is a memo hit, and only an answer no tier gives is a miss.
+  const StoreFixture f = StoreFixture::make("memo-counting");
+  const auto dict = DictReader::open(f.path);
+  const std::size_t full = dict->n_patterns();
+  server::SignatureMemo memo(1 << 20, full);
+  memo.set_store(dict);
+
+  struct Counts {
+    std::uint64_t memo_hits, memo_misses, store_hits, restricts;
+  };
+  const auto counts = [] {
+    auto& r = obs::registry();
+    return Counts{r.counter("memo.signature.hits").value(),
+                  r.counter("memo.signature.misses").value(),
+                  r.counter("store.hits").value(),
+                  r.counter("memo.signature.window_restricts").value()};
+  };
+  const auto expect_delta = [&](const Counts& before, Counts want) {
+    const Counts now = counts();
+    EXPECT_EQ(now.memo_hits - before.memo_hits, want.memo_hits);
+    EXPECT_EQ(now.memo_misses - before.memo_misses, want.memo_misses);
+    EXPECT_EQ(now.store_hits - before.store_hits, want.store_hits);
+    EXPECT_EQ(now.restricts - before.restricts, want.restricts);
+  };
+
+  const Fault fault = f.universe.front();
+  Counts before = counts();
+  ASSERT_NE(memo.lookup(fault, full), nullptr);
+  expect_delta(before, {0, 0, 1, 0});
+
+  // The store answer was promoted; a shorter window restricts it.
+  before = counts();
+  ASSERT_NE(memo.lookup(fault, full / 2), nullptr);
+  expect_delta(before, {1, 0, 0, 1});
+
+  before = counts();
+  EXPECT_EQ(memo.lookup(Fault::slow_to_rise(0), full), nullptr);
+  expect_delta(before, {0, 1, 0, 0});
+
+  const server::SignatureMemoStats s = memo.stats();
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.store_hits, 1u);
+  EXPECT_EQ(s.window_restricts, 1u);
 }
 
 TEST(StoreMemo, DiskTierRestrictsForTruncatedWindows) {

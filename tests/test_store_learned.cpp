@@ -17,6 +17,7 @@
 #include "diag/composite_memo.hpp"
 #include "fsim/fsim.hpp"
 #include "netlist/generator.hpp"
+#include "obs/metrics.hpp"
 #include "store/journal.hpp"
 #include "store/reader.hpp"
 #include "store/refresh.hpp"
@@ -534,6 +535,14 @@ TEST(CompositeMemoSpill, DiskTierServesAcrossMemoInstances) {
   // A fresh memo (restart, or the entry was evicted): the spill answers,
   // the composite is never re-propagated, and the hit promotes back into
   // the memory tier.
+  // The registry counts the answer the same way: perfbench derives its
+  // composite and spill hit ratios from these series.
+  obs::Counter& memo_hits = obs::registry().counter("memo.composite.hits");
+  obs::Counter& memo_misses = obs::registry().counter("memo.composite.misses");
+  obs::Counter& spill_hits = obs::registry().counter("store.spill_hits");
+  const std::uint64_t memo_hits_before = memo_hits.value();
+  const std::uint64_t memo_misses_before = memo_misses.value();
+  const std::uint64_t spill_hits_before = spill_hits.value();
   CompositeMemo fresh;
   fresh.set_spill(spill);
   const auto from_disk = fresh.lookup(key);
@@ -543,6 +552,9 @@ TEST(CompositeMemoSpill, DiskTierServesAcrossMemoInstances) {
   EXPECT_EQ(stats.spill_hits, 1u);
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 0u) << "a spill hit is a served lookup, not a miss";
+  EXPECT_EQ(memo_hits.value() - memo_hits_before, 1u);
+  EXPECT_EQ(memo_misses.value() - memo_misses_before, 0u);
+  EXPECT_EQ(spill_hits.value() - spill_hits_before, 1u);
   const auto promoted = fresh.lookup(key);
   EXPECT_EQ(promoted.get(), from_disk.get())
       << "the second lookup must be the promoted in-memory object";
