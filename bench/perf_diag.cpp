@@ -2,16 +2,25 @@
 //
 // Measures the stages of one diagnosis case on g1k: candidate extraction,
 // context construction (solo-signature cache fill happens lazily inside
-// the diagnosers), and each diagnoser end-to-end.
+// the diagnosers), and each diagnoser end-to-end. One g200 arm measures
+// the served hot path: request threads filling their contexts' solo
+// slots from one shared, pre-warmed session memo.
 #include <benchmark/benchmark.h>
 
 #include "sim/kernel.hpp"
 
+#include <chrono>
+#include <sstream>
+
 #include "diag/multiplet.hpp"
 #include "diag/single_fault.hpp"
 #include "diag/slat.hpp"
+#include "server/signature_memo.hpp"
+#include "server/trace_memo.hpp"
 #include "workload/campaign.hpp"
 #include "workload/circuits.hpp"
+#include "workload/loadgen.hpp"
+#include "workload/textio.hpp"
 
 namespace {
 
@@ -109,6 +118,88 @@ BENCHMARK(BM_WarmSoloCacheThreads)
     ->Arg(4)
     ->Arg(8)
     ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+/// The served g200-hot shape: distinct g200 datalogs (k=2..6) whose
+/// traces and solo signatures already sit in one session's memos, as in
+/// a daemon's steady state.
+struct HotFixture {
+  BenchCircuit bc = load_bench_circuit("g200");
+  FaultSimulator fsim{bc.netlist, bc.patterns};
+  std::shared_ptr<const PropagatorBaseline> baseline =
+      SingleFaultPropagator::make_baseline(bc.netlist, bc.patterns);
+  server::SignatureMemo solos{256ull << 20, bc.patterns.n_patterns()};
+  server::TraceMemo traces;
+  std::vector<Datalog> logs;
+
+  CandidateOptions candidate_options() {
+    CandidateOptions opt;
+    opt.trace_store = &traces;
+    return opt;
+  }
+
+  HotFixture() {
+    for (std::size_t k = 2; k <= 6; ++k) {
+      CorpusConfig cfg;
+      cfg.n_cases = 8;
+      cfg.defect.multiplicity = k;
+      cfg.defect.bridge_fraction = 0.25;
+      cfg.seed = 64 + k;
+      for (const LoadgenCase& c : make_corpus(bc.netlist, bc.patterns,
+                                              fsim.good_response(), cfg)) {
+        std::istringstream in(c.datalog_text);
+        logs.push_back(read_datalog(in, bc.netlist));
+        DiagnosisContext ctx(bc.netlist, bc.patterns, logs.back(),
+                             candidate_options(), &fsim.good_response(),
+                             baseline);
+        ctx.attach_solo_store(&solos);
+        ctx.warm_solo_signatures(ExecPolicy::serial());
+      }
+    }
+  }
+};
+
+HotFixture& hot_fixture() {
+  static HotFixture f;
+  return f;
+}
+
+// Threads axis (request threads, not workers): each thread builds a
+// context for its next g200 datalog and fills every solo slot from the
+// shared warm memo (all hits). `ms_per_datalog` is the mean fill time one
+// datalog sees; context construction is untimed. (The Time column is the
+// same manual time divided by the thread count, google-benchmark's
+// convention.) With a per-candidate memo lock the fill time grows with
+// threads; with one batch lookup per context it stays near the
+// single-thread figure.
+void BM_HotSoloWarmThreads(benchmark::State& state) {
+  HotFixture& f = hot_fixture();
+  const std::size_t n_logs = f.logs.size();
+  std::size_t next = static_cast<std::size_t>(state.thread_index());
+  double fill_ms = 0.0;
+  for (auto _ : state) {
+    DiagnosisContext ctx(f.bc.netlist, f.bc.patterns, f.logs[next % n_logs],
+                         f.candidate_options(), &f.fsim.good_response(),
+                         f.baseline);
+    ctx.attach_solo_store(&f.solos);
+    next += static_cast<std::size_t>(state.threads());
+    const auto t0 = std::chrono::steady_clock::now();
+    ctx.warm_solo_signatures(ExecPolicy::serial());
+    const std::chrono::duration<double> fill =
+        std::chrono::steady_clock::now() - t0;
+    state.SetIterationTime(fill.count());
+    fill_ms += fill.count() * 1e3;
+    benchmark::DoNotOptimize(ctx.solo_compute_count());
+  }
+  // Summed over threads, then divided by every thread's iterations.
+  state.counters["ms_per_datalog"] =
+      benchmark::Counter(fill_ms, benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_HotSoloWarmThreads)
+    ->Threads(1)
+    ->Threads(2)
+    ->Threads(4)
+    ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
 // Threads axis: case-parallel campaign end to end (sampling, datalog,

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <optional>
+#include <vector>
 
 #include "obs/metrics.hpp"
 
@@ -19,6 +20,7 @@ PatternSet make_window(const PatternSet& patterns, std::size_t n_applied) {
 
 struct DiagMetrics {
   obs::Counter& contexts = obs::registry().counter("diag.contexts");
+  /// Solo slots looked up: every candidate once, in the context's batch.
   obs::Counter& solo_lookups = obs::registry().counter("diag.solo_lookups");
   obs::Counter& solo_computes =
       obs::registry().counter("diag.solo_computes");
@@ -113,75 +115,68 @@ std::shared_ptr<const ErrorSignature> DiagnosisContext::apply_mask(
       signature_difference(*pre, masked_));
 }
 
-void DiagnosisContext::fill_solo(SoloSlot& slot, SingleFaultPropagator& prop,
-                                 std::size_t i) {
-  std::call_once(slot.once, [&] {
-    const std::size_t window = window_.n_patterns();
-    if (solo_store_ != nullptr) {
-      if (auto hit = solo_store_->lookup(pool_.faults[i], window)) {
-        slot.sig = apply_mask(std::move(hit));
-        return;
-      }
+void DiagnosisContext::lookup_solo_batch() {
+  if (solo_batch_done_.load(std::memory_order_acquire)) return;
+  std::lock_guard<std::mutex> lock(solo_batch_mutex_);
+  if (solo_batch_done_.load(std::memory_order_relaxed)) return;
+  const std::size_t n = pool_.faults.size();
+  std::size_t hits = 0;
+  if (solo_store_ != nullptr) {
+    std::vector<std::shared_ptr<const ErrorSignature>> found(n);
+    solo_store_->lookup_many(pool_.faults, window_.n_patterns(), found);
+    // A store miss must leave the slot cold for the warm/lazy fill, so
+    // the lookup and the masking run OUTSIDE the call_once and only a
+    // hit executes the callable, a nothrow move. Nothing may throw
+    // through a once_flag: TSan's pthread_once interceptor never resets
+    // an exceptionally-unwound flag (glibc's unwind handler does), so
+    // the next call_once on that slot blocks forever under the
+    // sanitizer. A throw here leaves the batch undone; the next query
+    // retries it, and slots already filled keep their value.
+    for (std::size_t i = 0; i < n; ++i) {
+      if (found[i] == nullptr) continue;
+      auto sig = apply_mask(std::move(found[i]));
+      SoloSlot& slot = solo_cache_[i];
+      std::call_once(slot.once, [&] { slot.sig = std::move(sig); });
+      ++hits;
     }
-    auto pre = std::make_shared<const ErrorSignature>(
-        prop.signature(pool_.faults[i]));
-    solo_computes_.fetch_add(1, std::memory_order_relaxed);
-    diag_metrics().solo_computes.inc();
-    if (solo_store_ != nullptr)
-      solo_store_->store(pool_.faults[i], window, pre);
-    slot.sig = apply_mask(std::move(pre));
-  });
+  }
+  // One lookup per candidate, store or not: lookups minus computes (both
+  // exported) is the number of slots served without simulation.
+  diag_metrics().solo_lookups.inc(n);
+  solo_batch_hits_ = hits;
+  solo_batch_done_.store(true, std::memory_order_release);
 }
 
-const ErrorSignature& DiagnosisContext::solo_signature(std::size_t i) {
-  // Lookups minus computes (both exported) is the solo-cache hit count.
-  diag_metrics().solo_lookups.inc();
+const ErrorSignature& DiagnosisContext::fill_solo(
+    std::size_t i, SingleFaultPropagator* prop) {
+  lookup_solo_batch();
   SoloSlot& slot = solo_cache_[i];
-  // The shared propagator's scratch state needs exclusive access; the
-  // once_flag still guarantees a single compute per slot when readers
-  // race.
   std::call_once(slot.once, [&] {
-    const std::size_t window = window_.n_patterns();
-    if (solo_store_ != nullptr) {
-      if (auto hit = solo_store_->lookup(pool_.faults[i], window)) {
-        slot.sig = apply_mask(std::move(hit));
-        return;
-      }
-    }
+    const Fault& f = pool_.faults[i];
     std::shared_ptr<const ErrorSignature> pre;
-    {
+    if (prop != nullptr) {
+      pre = std::make_shared<const ErrorSignature>(prop->signature(f));
+    } else {
+      // The shared propagator's scratch state needs exclusive access.
       std::lock_guard<std::mutex> lock(propagator_mutex_);
-      pre = std::make_shared<const ErrorSignature>(
-          propagator_->signature(pool_.faults[i]));
+      pre = std::make_shared<const ErrorSignature>(propagator_->signature(f));
     }
     solo_computes_.fetch_add(1, std::memory_order_relaxed);
     diag_metrics().solo_computes.inc();
-    if (solo_store_ != nullptr)
-      solo_store_->store(pool_.faults[i], window, pre);
+    if (solo_store_ != nullptr) solo_store_->store(f, window_.n_patterns(), pre);
     slot.sig = apply_mask(std::move(pre));
   });
   return *slot.sig;
 }
 
+const ErrorSignature& DiagnosisContext::solo_signature(std::size_t i) {
+  return fill_solo(i, nullptr);
+}
+
 std::size_t DiagnosisContext::warm_solo_from_store() {
   if (solo_store_ == nullptr) return 0;
-  // A store miss must leave the slot cold for the regular warm/lazy fill,
-  // so the lookup runs OUTSIDE the call_once and only a hit executes the
-  // callable. Nothing may throw through a once_flag here: TSan's
-  // pthread_once interceptor never resets an exceptionally-unwound flag
-  // (glibc's unwind handler does), so the next call_once on that slot
-  // blocks forever under the sanitizer. A losing racer just drops its
-  // decoded copy — the winner's signature is byte-identical.
-  std::size_t warmed = 0;
-  const std::size_t window = window_.n_patterns();
-  for (std::size_t i = 0; i < pool_.faults.size(); ++i) {
-    SoloSlot& slot = solo_cache_[i];
-    auto hit = solo_store_->lookup(pool_.faults[i], window);
-    if (hit == nullptr) continue;
-    std::call_once(slot.once,
-                   [&] { slot.sig = apply_mask(std::move(hit)); });
-    if (slot.sig != nullptr) ++warmed;  // includes already-filled slots
-  }
+  lookup_solo_batch();
+  const std::size_t warmed = solo_batch_hits_ + solo_compute_count();
   if (warmed > 0) {
     static obs::Counter& c =
         obs::registry().counter("diag.solo_store_warmed");
@@ -193,6 +188,8 @@ std::size_t DiagnosisContext::warm_solo_from_store() {
 void DiagnosisContext::warm_solo_signatures(const ExecPolicy& policy,
                                             const CancelToken* cancel) {
   const std::size_t n = pool_.faults.size();
+  lookup_solo_batch();
+  if (solo_batch_hits_ == n) return;  // the store answered every slot
   if (policy.is_serial()) {
     CancelCheckpoint cp(cancel, 8);
     for (std::size_t i = 0; i < n; ++i) {
@@ -200,7 +197,7 @@ void DiagnosisContext::warm_solo_signatures(const ExecPolicy& policy,
         diag_metrics().warm_dropped.inc(n - i);
         return;
       }
-      solo_signature(i);
+      fill_solo(i, nullptr);
     }
     return;
   }
@@ -224,7 +221,7 @@ void DiagnosisContext::warm_solo_signatures(const ExecPolicy& policy,
                             diag_metrics().warm_dropped.inc(end - i);
                             return;
                           }
-                          fill_solo(solo_cache_[i], prop, i);
+                          fill_solo(i, &prop);
                         }
                       });
 }

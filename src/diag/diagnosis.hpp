@@ -12,6 +12,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -86,10 +87,21 @@ struct DiagnosisReport {
 class SoloSignatureStore {
  public:
   virtual ~SoloSignatureStore() = default;
-  /// Cached pre-masking signature for `f` over the first
-  /// `window_patterns` patterns, or null on miss.
-  virtual std::shared_ptr<const ErrorSignature> lookup(
-      const Fault& f, std::size_t window_patterns) = 0;
+  /// Batch lookup: `out[k]` becomes the cached pre-masking signature for
+  /// `faults[k]` over the first `window_patterns` patterns, or null on
+  /// miss. One call per context, so a locking store locks once per
+  /// datalog rather than once per candidate. `out.size()` must equal
+  /// `faults.size()`.
+  virtual void lookup_many(
+      std::span<const Fault> faults, std::size_t window_patterns,
+      std::span<std::shared_ptr<const ErrorSignature>> out) = 0;
+  /// One-key lookup_many.
+  std::shared_ptr<const ErrorSignature> lookup(const Fault& f,
+                                               std::size_t window_patterns) {
+    std::shared_ptr<const ErrorSignature> sig;
+    lookup_many({&f, 1}, window_patterns, {&sig, 1});
+    return sig;
+  }
   /// Offers a freshly computed pre-masking signature (shared, so neither
   /// side copies); the store may decline (full).
   virtual void store(const Fault& f, std::size_t window_patterns,
@@ -146,6 +158,11 @@ class DiagnosisContext {
   /// Solo signature of candidate `i` over the applied window (cached).
   /// Thread-safe: concurrent callers for the same `i` all receive the same
   /// cached object, computed exactly once (per-slot std::once_flag).
+  ///
+  /// The first solo query of any kind (this, either warm) looks every
+  /// candidate up in the attached store in ONE batch and fills the slots
+  /// it answers; a slot the batch left cold is simulated on demand and
+  /// offered back to the store, never looked up again.
   const ErrorSignature& solo_signature(std::size_t i);
 
   /// Fills the solo-signature cache candidate-parallel under `policy`,
@@ -158,11 +175,12 @@ class DiagnosisContext {
                             const CancelToken* cancel = nullptr);
 
   /// Fills every solo slot the attached store can answer WITHOUT
-  /// simulating anything — the store-backed cold-start path: candidates
-  /// the persistent dictionary covers become lookups, only the remainder
-  /// is worth a parallel PPSFP warm. Returns the number of slots now
-  /// filled (store answers plus slots already computed); no-op returning
-  /// 0 when no store is attached. Thread-safe, like the other fills.
+  /// simulating anything (the context's batch lookup) — the store-backed
+  /// cold-start path: candidates the persistent dictionary covers become
+  /// lookups, only the remainder is worth a parallel PPSFP warm. Returns
+  /// the number of slots now filled (store answers plus slots already
+  /// computed); 0 when no store is attached. Thread-safe, like the other
+  /// fills.
   std::size_t warm_solo_from_store();
 
   /// Number of solo signatures computed so far (cache instrumentation;
@@ -231,9 +249,13 @@ class DiagnosisContext {
     /// is a pointer copy, not a signature copy.
     std::shared_ptr<const ErrorSignature> sig;
   };
-  /// Computes slot `i` with `prop` (masked-bit subtraction included);
-  /// no-op if already filled.
-  void fill_solo(SoloSlot& slot, SingleFaultPropagator& prop, std::size_t i);
+  /// Slot `i`, filled on first use: by the context's batch lookup, else
+  /// simulated with `prop` (null: the shared propagator, under its
+  /// mutex), masked bits subtracted, and offered to the store.
+  const ErrorSignature& fill_solo(std::size_t i, SingleFaultPropagator* prop);
+  /// The context's one batch lookup; idempotent, and a no-op fast path
+  /// once done. Runs outside every slot's once_flag (see diagnosis.cpp).
+  void lookup_solo_batch();
   /// Subtracts this context's masked bits from a pre-masking signature
   /// (pointer pass-through when nothing is masked).
   std::shared_ptr<const ErrorSignature> apply_mask(
@@ -243,6 +265,9 @@ class DiagnosisContext {
   std::deque<SoloSlot> solo_cache_;
   std::mutex propagator_mutex_;  ///< guards propagator_'s scratch state
   std::atomic<std::size_t> solo_computes_{0};
+  std::mutex solo_batch_mutex_;  ///< serializes the one batch lookup
+  std::atomic<bool> solo_batch_done_{false};
+  std::size_t solo_batch_hits_ = 0;  ///< store answers; set before done
   SoloSignatureStore* solo_store_ = nullptr;
   bool memo_attachable_ = false;  ///< static mode (window-keyed memos OK)
   /// Per-context composite memo (intra-request reuse across restarts and

@@ -1,12 +1,15 @@
 // openmdd — process-wide metrics registry.
 //
-// The measurement substrate for the serving layer (and every later perf
-// PR): named monotonic counters, gauges, and fixed-bucket latency
-// histograms, all updated with relaxed atomics so a hot path pays one
-// uncontended RMW per event — no lock is ever taken after a metric
-// handle has been resolved. Registration (name → handle) takes a mutex
-// once; instrument sites cache the returned reference, typically in a
-// function-local static:
+// The measurement substrate for the serving layer: named monotonic
+// counters, gauges, and fixed-bucket latency histograms, all updated with
+// relaxed atomics, so a hot path pays one RMW per event and no lock is
+// ever taken after a metric handle has been resolved. Each counter is one
+// atomic shared by every thread (a separate small heap object, so
+// neighbouring counters may share a cache line): the RMW is cheap only
+// while one thread at a time bumps it. Per-candidate hot loops count in
+// bulk — one inc(n) per batch — rather than once per event.
+// Registration (name → handle) takes a mutex once; instrument sites cache
+// the returned reference, typically in a function-local static:
 //
 //     static obs::Counter& c = obs::registry().counter("fsim.signatures");
 //     c.inc();

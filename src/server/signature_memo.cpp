@@ -51,9 +51,16 @@ SignatureMemo::SignatureMemo(std::size_t max_bytes, std::size_t full_window)
     : full_window_(full_window),
       cache_(max_bytes, &approx_signature_bytes<Key>, "memo.signature") {}
 
-std::shared_ptr<const ErrorSignature> SignatureMemo::lookup(
-    const Fault& f, std::size_t window_patterns) {
+void SignatureMemo::lookup_many(
+    std::span<const Fault> faults, std::size_t window_patterns,
+    std::span<std::shared_ptr<const ErrorSignature>> out) {
   std::lock_guard<std::mutex> lock(mutex_);
+  for (std::size_t k = 0; k < faults.size(); ++k)
+    out[k] = lookup_locked(faults[k], window_patterns);
+}
+
+std::shared_ptr<const ErrorSignature> SignatureMemo::lookup_locked(
+    const Fault& f, std::size_t window_patterns) {
   const Key key{f, window_patterns};
   if (const auto* sig = cache_.find(key)) return *sig;
   // A full-window entry answers any shorter window by restriction — the

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 
 #include "diag/clock_cache.hpp"
 #include "diag/diagnosis.hpp"
@@ -62,8 +63,12 @@ class SignatureMemo final : public SoloSignatureStore {
   explicit SignatureMemo(std::size_t max_bytes = 256ull << 20,
                          std::size_t full_window = 0);
 
-  std::shared_ptr<const ErrorSignature> lookup(
-      const Fault& f, std::size_t window_patterns) override;
+  /// Takes the memo lock once for the whole batch. Per key the tiers
+  /// answer in order: memory, restriction of a full-window memory entry,
+  /// the mmap store (decoded, restricted if shorter, promoted), else null.
+  void lookup_many(
+      std::span<const Fault> faults, std::size_t window_patterns,
+      std::span<std::shared_ptr<const ErrorSignature>> out) override;
   void store(const Fault& f, std::size_t window_patterns,
              std::shared_ptr<const ErrorSignature> sig) override;
 
@@ -100,6 +105,10 @@ class SignatureMemo final : public SoloSignatureStore {
       return (FaultHash{}(k.fault) ^ k.window * 0x9e3779b97f4a7c15ull);
     }
   };
+
+  /// One key through every tier; the caller holds mutex_.
+  std::shared_ptr<const ErrorSignature> lookup_locked(
+      const Fault& f, std::size_t window_patterns);
 
   std::size_t full_window_ = 0;  ///< session pattern count; 0 = unknown
   mutable std::mutex mutex_;

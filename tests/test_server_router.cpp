@@ -248,9 +248,14 @@ TEST(ShardRouterIntegration, CrashedWorkerFailsTypedThenRecoversIdentical) {
   const Json* baseline_reports = baseline.find("reports");
   ASSERT_NE(baseline_reports, nullptr);
 
-  // Kill the owning worker right after submitting a streamed batch: the
+  // Kill the owning worker in the middle of a streamed batch: the
   // in-flight request must come back as a typed shard_failed error, not
-  // a connection that hangs until some client-side timeout.
+  // a connection that hangs until some client-side timeout. The kill
+  // waits for the batch's first item, so the worker provably holds the
+  // request (a kill that lands before the router forwards it is another
+  // case: the router waits for the respawned shard, which serves it).
+  // The batch is long enough that the worker cannot finish it first.
+  constexpr int kDoomed = 64;
   {
     TcpLineClient client("127.0.0.1", router.port);
     Json r;
@@ -259,15 +264,19 @@ TEST(ShardRouterIntegration, CrashedWorkerFailsTypedThenRecoversIdentical) {
     r.set("netlist", f.netlist_path);
     r.set("patterns", f.patterns_path);
     JsonArray datalogs;
-    for (int i = 0; i < 8; ++i) datalogs.emplace_back(f.datalog_text);
+    for (int i = 0; i < kDoomed; ++i) datalogs.emplace_back(f.datalog_text);
     r.set("datalogs", Json(std::move(datalogs)));
     r.set("stream", true);
     client.send_line(r.dump());
+    const Json first = recv_json(client, 15000);
+    ASSERT_EQ(first.get_string("op"), "diagnose_batch_item") << first.dump();
     ASSERT_EQ(::kill(worker_pid, SIGKILL), 0);
 
     bool saw_shard_failed = false;
-    for (int i = 0; i < 32 && !saw_shard_failed; ++i) {
+    std::string seen;  // what came back instead, for the failure message
+    for (int i = 0; i <= kDoomed && !saw_shard_failed; ++i) {
       const Json line = recv_json(client, 15000);
+      seen += line.dump().substr(0, 160) + "\n";
       if (line.get_string("error") == "shard_failed") {
         saw_shard_failed = true;
         EXPECT_EQ(line.get_string("id"), "doomed");
@@ -278,7 +287,8 @@ TEST(ShardRouterIntegration, CrashedWorkerFailsTypedThenRecoversIdentical) {
       }
     }
     EXPECT_TRUE(saw_shard_failed)
-        << "killing the worker mid-batch must surface shard_failed";
+        << "killing the worker mid-batch must surface shard_failed; got:\n"
+        << seen;
   }
 
   // The supervisor respawns the shard (backoff starts at 200ms); the

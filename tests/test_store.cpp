@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "obs/metrics.hpp"
 #include "server/signature_memo.hpp"
 #include "sim/kernel.hpp"
+#include "store/journal.hpp"
 #include "store/reader.hpp"
 #include "store/writer.hpp"
 #include "workload/textio.hpp"
@@ -428,6 +430,145 @@ TEST(StoreMemo, EachAnswerCountsOnceInItsTier) {
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.store_hits, 1u);
   EXPECT_EQ(s.window_restricts, 1u);
+}
+
+TEST(StoreMemo, BatchLookupMatchesSingleLookupsKeyForKey) {
+  // Oracle for lookup_many: twin memos with the same inserts, the same
+  // .mdds store and a journal each; one serves a key mix as one batch,
+  // the other as single lookups. Answers, every registry counter the
+  // tiers move, the stats and the journaled misses must all agree.
+  const StoreFixture f = StoreFixture::make("memo-batch");
+  const auto dict = DictReader::open(f.path);
+  const std::size_t full = dict->n_patterns();
+  const std::size_t half = full / 2;
+  ASSERT_GE(f.universe.size(), 4u);
+  SingleFaultPropagator prop(f.netlist, f.patterns);
+
+  // One memo per side, each with its own journal file.
+  struct Twin {
+    Twin(std::size_t window, const std::string& journal_path)
+        : memo(1 << 20, window),
+          journal(std::make_shared<FaultJournal>(journal_path, 1, 2)) {}
+    server::SignatureMemo memo;
+    std::shared_ptr<FaultJournal> journal;
+  };
+  const auto make_twin = [&](const std::string& tag) {
+    const std::string path = ::testing::TempDir() + "batch_" + tag + ".journal";
+    std::remove(path.c_str());
+    auto t = std::make_unique<Twin>(full, path);
+    t->memo.set_store(dict);
+    t->memo.set_journal(t->journal);
+    // Memory tier: two faults known at the full window.
+    for (std::size_t u = 0; u < 2; ++u)
+      t->memo.store(f.universe[u], full,
+                    std::make_shared<const ErrorSignature>(
+                        prop.signature(f.universe[u])));
+    return t;
+  };
+  const auto batch = make_twin("batch");
+  const auto single = make_twin("single");
+
+  const Fault unknown = Fault::slow_to_rise(0);  // in no tier
+  const std::vector<Fault> faults{
+      f.universe[0],  // memory hit
+      f.universe[1],  // window restriction from memory
+      f.universe[2],  // window restriction from .mdds
+      f.universe[3],  // .mdds decode
+      f.universe[3],  // the decode's promotion, now a memory hit
+      unknown,        // miss
+      f.universe[2],  // restricted entry admitted under its key
+  };
+  const std::vector<std::size_t> windows{full, half, half, full,
+                                         full, full, half};
+  ASSERT_EQ(faults.size(), windows.size());
+
+  const std::vector<std::string> names{
+      "memo.signature.hits",     "memo.signature.misses",
+      "memo.signature.inserts",  "memo.signature.evictions",
+      "memo.signature.declined", "memo.signature.window_restricts",
+      "store.hits",              "store.misses",
+      "store.decode_failures"};
+  const auto counters = [&] {
+    std::vector<std::uint64_t> v;
+    for (const std::string& n : names)
+      v.push_back(obs::registry().counter(n).value());
+    return v;
+  };
+  const auto delta = [](const std::vector<std::uint64_t>& a,
+                        const std::vector<std::uint64_t>& b) {
+    std::vector<std::uint64_t> d;
+    for (std::size_t i = 0; i < a.size(); ++i) d.push_back(b[i] - a[i]);
+    return d;
+  };
+
+  // lookup_many takes one window per call: one batch per window shape,
+  // in the same order for both twins.
+  std::vector<std::shared_ptr<const ErrorSignature>> got_batch(faults.size());
+  std::vector<std::shared_ptr<const ErrorSignature>> got_single(
+      faults.size());
+  auto before = counters();
+  for (const std::size_t w : {full, half}) {
+    std::vector<Fault> keys;
+    std::vector<std::size_t> slots;
+    for (std::size_t k = 0; k < faults.size(); ++k)
+      if (windows[k] == w) {
+        keys.push_back(faults[k]);
+        slots.push_back(k);
+      }
+    std::vector<std::shared_ptr<const ErrorSignature>> out(keys.size());
+    batch->memo.lookup_many(keys, w, out);
+    for (std::size_t j = 0; j < slots.size(); ++j) got_batch[slots[j]] = out[j];
+  }
+  const auto batch_delta = delta(before, counters());
+
+  before = counters();
+  for (const std::size_t w : {full, half})
+    for (std::size_t k = 0; k < faults.size(); ++k)
+      if (windows[k] == w) got_single[k] = single->memo.lookup(faults[k], w);
+  const auto single_delta = delta(before, counters());
+
+  for (std::size_t i = 0; i < names.size(); ++i)
+    EXPECT_EQ(batch_delta[i], single_delta[i]) << names[i];
+  EXPECT_GT(batch_delta[0], 0u) << "memo hits";
+  EXPECT_GT(batch_delta[1], 0u) << "memo misses";
+  EXPECT_GT(batch_delta[5], 0u) << "window restricts";
+  EXPECT_GT(batch_delta[6], 0u) << "store hits";
+  EXPECT_GT(batch_delta[7], 0u) << "store misses";
+
+  for (std::size_t k = 0; k < faults.size(); ++k) {
+    ASSERT_EQ(got_batch[k] == nullptr, got_single[k] == nullptr) << "key " << k;
+    if (got_batch[k] != nullptr)
+      EXPECT_EQ(*got_batch[k], *got_single[k]) << "key " << k;
+  }
+  EXPECT_EQ(got_batch[5], nullptr);
+
+  const server::SignatureMemoStats sb = batch->memo.stats();
+  const server::SignatureMemoStats ss = single->memo.stats();
+  EXPECT_EQ(sb.hits, ss.hits);
+  EXPECT_EQ(sb.misses, ss.misses);
+  EXPECT_EQ(sb.entries, ss.entries);
+  EXPECT_EQ(sb.approx_bytes, ss.approx_bytes);
+  EXPECT_EQ(sb.store_hits, ss.store_hits);
+  EXPECT_EQ(sb.store_misses, ss.store_misses);
+  EXPECT_EQ(sb.window_restricts, ss.window_restricts);
+
+  // Misses go back as stores, as a context would: both journals record
+  // the same faults.
+  const auto write_back_misses =
+      [&](Twin& t,
+          const std::vector<std::shared_ptr<const ErrorSignature>>& got) {
+        for (std::size_t k = 0; k < faults.size(); ++k)
+          if (got[k] == nullptr)
+            t.memo.store(faults[k], windows[k],
+                         std::make_shared<const ErrorSignature>(
+                             prop.signature(faults[k])));
+      };
+  write_back_misses(*batch, got_batch);
+  write_back_misses(*single, got_single);
+  EXPECT_EQ(batch->journal->pending_faults(), single->journal->pending_faults());
+  // The two seeded inserts, then the one miss.
+  const std::vector<Fault> journaled{f.universe[0], f.universe[1], unknown};
+  EXPECT_EQ(batch->journal->pending_faults(), journaled);
 }
 
 TEST(StoreMemo, DiskTierRestrictsForTruncatedWindows) {
