@@ -1,8 +1,8 @@
 // Perf A — simulation-kernel micro-benchmarks (google-benchmark).
 //
 // Measures the bit-parallel good machine, the composite faulty machine,
-// signature extraction and critical path tracing: the kernels whose
-// throughput bounds every diagnosis experiment.
+// signature extraction, event-driven solo signatures and critical path
+// tracing: the kernels whose throughput bounds every diagnosis experiment.
 //
 // The kernel-sweep benchmarks below are registered once per available
 // simulation kernel (scalar / avx2 / avx512 as CPUID allows), so one run
@@ -15,15 +15,22 @@
 //                 words per sweep), the kernel-throughput figure of merit
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "diag/candidates.hpp"
 #include "fsim/cpt.hpp"
 #include "fsim/fsim.hpp"
+#include "fsim/propagate.hpp"
 #include "netlist/generator.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/kernel.hpp"
+#include "workload/circuits.hpp"
+#include "workload/loadgen.hpp"
+#include "workload/textio.hpp"
 
 namespace {
 
@@ -91,6 +98,53 @@ void BM_SignatureExtraction(benchmark::State& state, std::size_t n_patterns,
   set_sweep_counters(state, nl, stimuli.n_patterns(), stimuli.n_blocks());
 }
 
+/// One served-shape g1k datalog (a k=3 multiplet with a quarter bridges,
+/// drawn like the served benchmark's corpus) and its candidate pool, over
+/// a baseline every kernel's propagator shares.
+struct SoloPool {
+  BenchCircuit bc = load_bench_circuit("g1k");
+  std::shared_ptr<const PropagatorBaseline> baseline =
+      SingleFaultPropagator::make_baseline(bc.netlist, bc.patterns);
+  std::vector<Fault> candidates;
+
+  SoloPool() {
+    const PatternSet good = simulate(bc.netlist, bc.patterns);
+    CorpusConfig cfg;
+    cfg.n_cases = 1;
+    cfg.defect.multiplicity = 3;
+    cfg.defect.bridge_fraction = 0.25;
+    const auto corpus = make_corpus(bc.netlist, bc.patterns, good, cfg);
+    std::istringstream in(corpus.at(0).datalog_text);
+    const Datalog log = read_datalog(in, bc.netlist);
+    candidates = extract_candidates(bc.netlist, bc.patterns, log).faults;
+  }
+};
+
+const SoloPool& solo_pool() {
+  static const SoloPool pool;
+  return pool;
+}
+
+// The solo-signature warm of one datalog: every candidate's signature
+// through the event-driven propagator. `us_per_query` is wall time per
+// candidate signature.
+void BM_SoloSignature(benchmark::State& state, const SimKernel* kernel) {
+  const SoloPool& pool = solo_pool();
+  SingleFaultPropagator prop(pool.bc.netlist, pool.bc.patterns, pool.baseline,
+                             *kernel);
+  std::chrono::duration<double, std::micro> elapsed{0};
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const Fault& f : pool.candidates)
+      benchmark::DoNotOptimize(prop.signature(f));
+    elapsed += std::chrono::steady_clock::now() - t0;
+  }
+  state.counters["candidates"] = static_cast<double>(pool.candidates.size());
+  state.counters["us_per_query"] =
+      elapsed.count() / (static_cast<double>(state.iterations()) *
+                         static_cast<double>(pool.candidates.size()));
+}
+
 void register_kernel_sweeps() {
   for (const SimKernel* k : available_kernels()) {
     const std::string suffix = std::string("/") + k->name;
@@ -105,6 +159,8 @@ void register_kernel_sweeps() {
           ("BM_SignatureExtraction/" + std::to_string(n_patterns) + suffix)
               .c_str(),
           BM_SignatureExtraction, n_patterns, k);
+    benchmark::RegisterBenchmark(("BM_SoloSignature/g1k" + suffix).c_str(),
+                                 BM_SoloSignature, k);
   }
 }
 

@@ -68,7 +68,7 @@ DiagnosisContext::DiagnosisContext(
     // The shared baseline was built for the full pattern set; it is only
     // valid when the window is the full set (no truncation).
     if (baseline != nullptr &&
-        baseline->values.size() == window_.n_blocks() &&
+        baseline->n_blocks == window_.n_blocks() &&
         baseline->good.n_patterns() == window_.n_patterns())
       baseline_ = std::move(baseline);
     if (baseline_ != nullptr)

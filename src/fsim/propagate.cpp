@@ -36,27 +36,51 @@ constexpr Word kOneLanes[kMaxKernelLanes] = {kAllOne, kAllOne, kAllOne,
                                              kAllOne, kAllOne, kAllOne,
                                              kAllOne, kAllOne};
 
+/// Words per net row: n_blocks rounded up so every lane group, of any
+/// kernel width, reads a full row in place.
+std::size_t padded_stride(std::size_t n_blocks) {
+  return (n_blocks + kMaxKernelLanes - 1) / kMaxKernelLanes * kMaxKernelLanes;
+}
+
+/// Good value of every net for every block of `patterns`, net-major with
+/// `stride` words per net; each row's padding slots copy its last valid
+/// block.
+std::vector<Word> good_rows(const Netlist& netlist, const PatternSet& patterns,
+                            std::size_t stride, const SimKernel& kernel) {
+  const std::size_t n_blocks = patterns.n_blocks();
+  std::vector<Word> values(netlist.n_nets() * stride, kAllZero);
+  BlockSim sim(netlist, kernel);
+  for (std::size_t b = 0; b < n_blocks;) {
+    const std::size_t m = sim.run_wide(patterns, b);
+    for (NetId n = 0; n < netlist.n_nets(); ++n)
+      for (std::size_t l = 0; l < m; ++l)
+        values[n * stride + b + l] = sim.value(n, l);
+    b += m;
+  }
+  if (n_blocks > 0) {
+    for (NetId n = 0; n < netlist.n_nets(); ++n) {
+      Word* row = values.data() + n * stride;
+      std::fill(row + n_blocks, row + stride, row[n_blocks - 1]);
+    }
+  }
+  return values;
+}
+
 }  // namespace
 
 std::shared_ptr<const PropagatorBaseline>
 SingleFaultPropagator::make_baseline(const Netlist& netlist,
                                      const PatternSet& patterns) {
   auto baseline = std::make_shared<PropagatorBaseline>();
-  BlockSim sim(netlist);
-  baseline->values.resize(patterns.n_blocks());
+  baseline->n_blocks = patterns.n_blocks();
+  baseline->stride = padded_stride(patterns.n_blocks());
+  baseline->values =
+      good_rows(netlist, patterns, baseline->stride, current_kernel());
   baseline->good = PatternSet(patterns.n_patterns(), netlist.n_outputs());
-  for (std::size_t b = 0; b < patterns.n_blocks();) {
-    const std::size_t m = sim.run_wide(patterns, b);
-    for (std::size_t l = 0; l < m; ++l) {
-      auto& blk = baseline->values[b + l];
-      blk.resize(netlist.n_nets());
-      for (NetId n = 0; n < netlist.n_nets(); ++n) blk[n] = sim.value(n, l);
-      const Word mask = patterns.valid_mask(b + l);
-      for (std::size_t o = 0; o < netlist.n_outputs(); ++o)
-        baseline->good.word(b + l, o) =
-            sim.value(netlist.outputs()[o], l) & mask;
-    }
-    b += m;
+  for (std::size_t o = 0; o < netlist.n_outputs(); ++o) {
+    const Word* row = baseline->row(netlist.outputs()[o]);
+    for (std::size_t b = 0; b < patterns.n_blocks(); ++b)
+      baseline->good.word(b, o) = row[b] & patterns.valid_mask(b);
   }
   return baseline;
 }
@@ -70,19 +94,20 @@ SingleFaultPropagator::SingleFaultPropagator(
       lanes_(kernel.lanes),
       patterns_(&patterns),
       baseline_(std::move(baseline)),
+      stride_(baseline_->stride),
       scratch_(netlist.n_nets() * kernel.lanes, kAllZero),
       touched_(netlist.n_nets(), false),
       level_queue_(netlist.depth() + 1),
       queued_(netlist.n_nets(), false),
-      po_mask_buf_((netlist.n_outputs() + 63) / 64, kAllZero),
+      n_po_words_((netlist.n_outputs() + 63) / 64),
+      bit_table_(64 * n_po_words_, kAllZero),
       fallback_(netlist, kernel) {
-  assert(baseline_ != nullptr &&
-         baseline_->values.size() == patterns.n_blocks() &&
+  assert(baseline_->n_blocks == patterns.n_blocks() &&
+         baseline_->values.size() == netlist.n_nets() * stride_ &&
          baseline_->good.n_patterns() == patterns.n_patterns());
   std::size_t max_fanin = 0;
   for (NetId n = 0; n < netlist.n_nets(); ++n)
     max_fanin = std::max(max_fanin, netlist.fanins(n).size());
-  fanin_lanes_.resize(max_fanin * kMaxKernelLanes);
   fanin_ptrs_.resize(max_fanin);
 }
 
@@ -97,35 +122,9 @@ SingleFaultPropagator::SingleFaultPropagator(const Netlist& netlist,
                                              const PatternSet& capture,
                                              const SimKernel& kernel)
     : SingleFaultPropagator(netlist, capture, kernel) {
+  assert(launch.n_blocks() == capture.n_blocks());
   launch_ = &launch;
-  BlockSim sim(netlist, kernel);
-  launch_values_.resize(launch.n_blocks());
-  for (std::size_t b = 0; b < launch.n_blocks();) {
-    const std::size_t m = sim.run_wide(launch, b);
-    for (std::size_t l = 0; l < m; ++l) {
-      auto& blk = launch_values_[b + l];
-      blk.resize(netlist.n_nets());
-      for (NetId n = 0; n < netlist.n_nets(); ++n) blk[n] = sim.value(n, l);
-    }
-    b += m;
-  }
-}
-
-void SingleFaultPropagator::gather_row(const Frames& vals, NetId n,
-                                       std::size_t b0, std::size_t m,
-                                       Word* out) const {
-  // Padding lanes replicate the last valid block, matching BlockSim /
-  // FaultyMachine; only lanes < m are ever read out.
-  for (std::size_t l = 0; l < lanes_; ++l)
-    out[l] = vals[b0 + std::min(l, m - 1)][n];
-}
-
-const Word* SingleFaultPropagator::read_row(const Frames& vals, NetId n,
-                                            std::size_t b0, std::size_t m,
-                                            Word* buf) const {
-  if (touched_[n]) return scratch_.data() + n * lanes_;
-  gather_row(vals, n, b0, m, buf);
-  return buf;
+  launch_values_ = good_rows(netlist, launch, stride_, kernel);
 }
 
 void SingleFaultPropagator::seed_site(NetId net, const Word* value,
@@ -144,70 +143,56 @@ void SingleFaultPropagator::seed_site(NetId net, const Word* value,
   }
 }
 
-void SingleFaultPropagator::seed_fault(const Fault& fault, std::size_t b0,
-                                       std::size_t m) {
-  const Frames& vals = baseline_->values;
-  Word good_row[kMaxKernelLanes];
+void SingleFaultPropagator::seed_fault(const Fault& fault, std::size_t b0) {
+  const Word* vals = baseline_->values.data();
+  const Word* good = good_row(vals, fault.net, b0);
   Word val_row[kMaxKernelLanes];
-  Word other_row[kMaxKernelLanes];
   switch (fault.kind) {
     case FaultKind::StuckAt0:
     case FaultKind::StuckAt1: {
-      const Word forced = fault.stuck_value() ? kAllOne : kAllZero;
-      gather_row(vals, fault.net, b0, m, good_row);
       if (fault.pin == kStemPin) {
-        std::fill(val_row, val_row + lanes_, forced);
-        seed_site(fault.net, val_row, good_row);
+        std::fill(val_row, val_row + lanes_,
+                  fault.stuck_value() ? kAllOne : kAllZero);
       } else {
         // Branch fault: recompute the gate with the forced pin.
         const auto fi = netlist_->fanins(fault.net);
-        for (std::size_t j = 0; j < fi.size(); ++j) {
-          Word* row = fanin_lanes_.data() + j * kMaxKernelLanes;
-          gather_row(vals, fi[j], b0, m, row);
-          fanin_ptrs_[j] = row;
-        }
+        for (std::size_t j = 0; j < fi.size(); ++j)
+          fanin_ptrs_[j] = good_row(vals, fi[j], b0);
         fanin_ptrs_[fault.pin] = fault.stuck_value() ? kOneLanes : kZeroLanes;
         kernel_->eval_gate(netlist_->kind(fault.net), fanin_ptrs_.data(),
                            fi.size(), val_row);
-        seed_site(fault.net, val_row, good_row);
       }
+      seed_site(fault.net, val_row, good);
       return;
     }
-    case FaultKind::BridgeDom: {
+    case FaultKind::BridgeDom:
       // Optimistic non-feedback assumption: the aggressor is unaffected,
       // so the victim simply takes the aggressor's good value. propagate()
       // watches the aggressor and triggers the fixpoint fallback if the
       // wave ever reaches it.
-      gather_row(vals, fault.net, b0, m, good_row);
-      gather_row(vals, fault.bridge_net, b0, m, other_row);
-      seed_site(fault.net, other_row, good_row);
+      seed_site(fault.net, good_row(vals, fault.bridge_net, b0), good);
       return;
-    }
     case FaultKind::BridgeWAnd:
     case FaultKind::BridgeWOr: {
-      gather_row(vals, fault.net, b0, m, good_row);
-      gather_row(vals, fault.bridge_net, b0, m, other_row);
+      const Word* other = good_row(vals, fault.bridge_net, b0);
       for (std::size_t l = 0; l < lanes_; ++l)
-        val_row[l] = fault.kind == FaultKind::BridgeWAnd
-                         ? (good_row[l] & other_row[l])
-                         : (good_row[l] | other_row[l]);
-      seed_site(fault.net, val_row, good_row);
-      seed_site(fault.bridge_net, val_row, other_row);
+        val_row[l] = fault.kind == FaultKind::BridgeWAnd ? (good[l] & other[l])
+                                                         : (good[l] | other[l]);
+      seed_site(fault.net, val_row, good);
+      seed_site(fault.bridge_net, val_row, other);
       return;
     }
     case FaultKind::SlowToRise:
     case FaultKind::SlowToFall: {
       if (launch_ == nullptr) return;  // inert in single-frame mode
-      gather_row(launch_values_, fault.net, b0, m, other_row);
-      gather_row(vals, fault.net, b0, m, good_row);
+      const Word* launch = good_row(launch_values_.data(), fault.net, b0);
       for (std::size_t l = 0; l < lanes_; ++l) {
         const Word moved = fault.kind == FaultKind::SlowToRise
-                               ? (~other_row[l] & good_row[l])
-                               : (other_row[l] & ~good_row[l]);
-        val_row[l] =
-            (good_row[l] & ~moved) | (other_row[l] & moved);
+                               ? (~launch[l] & good[l])
+                               : (launch[l] & ~good[l]);
+        val_row[l] = (good[l] & ~moved) | (launch[l] & moved);
       }
-      seed_site(fault.net, val_row, good_row);
+      seed_site(fault.net, val_row, good);
       return;
     }
   }
@@ -215,9 +200,8 @@ void SingleFaultPropagator::seed_fault(const Fault& fault, std::size_t b0,
 
 bool SingleFaultPropagator::propagate(std::size_t b0, std::size_t m,
                                       ErrorSignature& sig, NetId watch) {
-  const Frames& vals = baseline_->values;
+  const Word* vals = baseline_->values.data();
   Word vbuf[kMaxKernelLanes];
-  Word cur_buf[kMaxKernelLanes];
 
   for (std::uint32_t lv = 0; lv < level_queue_.size(); ++lv) {
     for (std::size_t idx = 0; idx < level_queue_[lv].size(); ++idx) {
@@ -225,11 +209,10 @@ bool SingleFaultPropagator::propagate(std::size_t b0, std::size_t m,
       queued_[g] = false;
       const auto fi = netlist_->fanins(g);
       for (std::size_t j = 0; j < fi.size(); ++j)
-        fanin_ptrs_[j] = read_row(vals, fi[j], b0, m,
-                                  fanin_lanes_.data() + j * kMaxKernelLanes);
+        fanin_ptrs_[j] = read_row(vals, fi[j], b0);
       kernel_->eval_gate(netlist_->kind(g), fanin_ptrs_.data(), fi.size(),
                          vbuf);
-      const Word* cur = read_row(vals, g, b0, m, cur_buf);
+      const Word* cur = read_row(vals, g, b0);
       if (!std::equal(vbuf, vbuf + lanes_, cur)) {
         std::copy(vbuf, vbuf + lanes_, scratch_.begin() + g * lanes_);
         if (!touched_[g]) {
@@ -247,40 +230,7 @@ bool SingleFaultPropagator::propagate(std::size_t b0, std::size_t m,
     level_queue_[lv].clear();
   }
 
-  // Collect PO differences lane by lane (touched POs gathered once per
-  // lane; the per-failing-bit loop then only walks that short list).
-  struct PoDiff {
-    std::uint32_t po;
-    Word diff;
-  };
-  std::vector<PoDiff> po_diffs;
-  for (std::size_t l = 0; l < m; ++l) {
-    const Word valid = patterns_->valid_mask(b0 + l);
-    Word any = kAllZero;
-    po_diffs.clear();
-    for (NetId t : touched_list_) {
-      if (auto idx = netlist_->output_index(t)) {
-        const Word diff =
-            (scratch_[t * lanes_ + l] ^ vals[b0 + l][t]) & valid;
-        if (diff) {
-          po_diffs.push_back({*idx, diff});
-          any |= diff;
-        }
-      }
-    }
-    while (any) {
-      const int bit = std::countr_zero(any);
-      any &= any - 1;
-      std::fill(po_mask_buf_.begin(), po_mask_buf_.end(), kAllZero);
-      for (const PoDiff& pd : po_diffs) {
-        if ((pd.diff >> bit) & 1u)
-          po_mask_buf_[pd.po / 64] |= Word{1} << (pd.po % 64);
-      }
-      sig.append(static_cast<std::uint32_t>((b0 + l) * 64 +
-                                            static_cast<std::size_t>(bit)),
-                 po_mask_buf_);
-    }
-  }
+  collect_pos(b0, m, sig);
 
   bool watch_touched = false;
   for (NetId t : touched_list_) {
@@ -293,6 +243,36 @@ bool SingleFaultPropagator::propagate(std::size_t b0, std::size_t m,
   }
   touched_list_.clear();
   return watch_touched;
+}
+
+void SingleFaultPropagator::collect_pos(std::size_t b0, std::size_t m,
+                                        ErrorSignature& sig) {
+  touched_pos_.clear();
+  for (NetId t : touched_list_)
+    if (auto idx = netlist_->output_index(t)) touched_pos_.push_back({t, *idx});
+  if (touched_pos_.empty()) return;
+  // Per lane: scatter every PO diff's set bits into the bit table, then
+  // emit the failing patterns' rows in ascending order, zeroing each.
+  for (std::size_t l = 0; l < m; ++l) {
+    const Word valid = patterns_->valid_mask(b0 + l);
+    Word any = kAllZero;
+    for (const auto& [t, po] : touched_pos_) {
+      Word diff = (scratch_[t * lanes_ + l] ^ baseline_->row(t)[b0 + l]) &
+                  valid;
+      any |= diff;
+      Word* column = bit_table_.data() + po / 64;
+      const Word po_bit = Word{1} << (po % 64);
+      for (; diff; diff &= diff - 1)
+        column[std::countr_zero(diff) * n_po_words_] |= po_bit;
+    }
+    for (; any; any &= any - 1) {
+      const auto bit = static_cast<std::size_t>(std::countr_zero(any));
+      Word* row = bit_table_.data() + bit * n_po_words_;
+      sig.append(static_cast<std::uint32_t>((b0 + l) * 64 + bit),
+                 {row, n_po_words_});
+      std::fill(row, row + n_po_words_, kAllZero);
+    }
+  }
 }
 
 ErrorSignature SingleFaultPropagator::signature(const Fault& fault) {
@@ -318,7 +298,7 @@ ErrorSignature SingleFaultPropagator::signature(const Fault& fault) {
 
   for (std::size_t b = 0; b < patterns_->n_blocks();) {
     const std::size_t m = std::min(lanes_, patterns_->n_blocks() - b);
-    seed_fault(fault, b, m);
+    seed_fault(fault, b);
     const bool feedback =
         propagate(b, m, sig, watch) ||
         (watch == fault.net && fault.kind != FaultKind::BridgeDom);
@@ -458,18 +438,18 @@ bool SingleFaultPropagator::is_wired_member(NetId g) const {
   return false;
 }
 
-void SingleFaultPropagator::eval_composite(NetId g, const Frames& vals,
-                                           std::size_t b0, std::size_t m,
+void SingleFaultPropagator::eval_composite(NetId g, const Word* vals,
+                                           std::size_t b0,
                                            bool apply_transitions, Word* out,
                                            Word* raw) {
   if (netlist_->kind(g) == GateKind::Input) {
-    gather_row(vals, g, b0, m, raw);  // the stimulus row; nothing
-                                      // upstream to fault
+    // The stimulus row; nothing upstream to fault.
+    const Word* stimulus = good_row(vals, g, b0);
+    std::copy(stimulus, stimulus + lanes_, raw);
   } else {
     const auto fi = netlist_->fanins(g);
     for (std::size_t j = 0; j < fi.size(); ++j)
-      fanin_ptrs_[j] = read_row(vals, fi[j], b0, m,
-                                fanin_lanes_.data() + j * kMaxKernelLanes);
+      fanin_ptrs_[j] = read_row(vals, fi[j], b0);
     for (const CompPin& po : comp_pins_)
       if (po.gate == g) fanin_ptrs_[po.pin] = po.value ? kOneLanes : kZeroLanes;
     kernel_->eval_gate(netlist_->kind(g), fanin_ptrs_.data(), fi.size(),
@@ -480,22 +460,17 @@ void SingleFaultPropagator::eval_composite(NetId g, const Frames& vals,
   // resolves the two *driver* values), then the transition hold, then
   // stem overrides (a hard stuck-at wins over coupling).
   std::copy(raw, raw + lanes_, out);
-  Word row_buf[kMaxKernelLanes];
   for (const CompBridge& br : comp_bridges_) {
     if (br.kind == FaultKind::BridgeDom) {
       if (br.a == g) {
-        const Word* other = read_row(vals, br.b, b0, m, row_buf);
+        const Word* other = read_row(vals, br.b, b0);
         std::copy(other, other + lanes_, out);
       }
     } else if (br.a == g || br.b == g) {
       const NetId other = (br.a == g) ? br.b : br.a;
-      const Word* other_raw;
-      if (raw_touched_[other]) {
-        other_raw = raw_scratch_.data() + other * lanes_;
-      } else {
-        gather_row(vals, other, b0, m, row_buf);
-        other_raw = row_buf;
-      }
+      const Word* other_raw = raw_touched_[other]
+                                  ? raw_scratch_.data() + other * lanes_
+                                  : good_row(vals, other, b0);
       if (br.kind == FaultKind::BridgeWAnd) {
         for (std::size_t l = 0; l < lanes_; ++l)
           out[l] = raw[l] & other_raw[l];
@@ -526,14 +501,11 @@ void SingleFaultPropagator::eval_composite(NetId g, const Frames& vals,
       std::fill(out, out + lanes_, so.value ? kAllOne : kAllZero);
 }
 
-bool SingleFaultPropagator::propagate_composite(const Frames& vals,
+bool SingleFaultPropagator::propagate_composite(const Word* vals,
                                                 std::size_t b0,
-                                                std::size_t m,
                                                 bool apply_transitions) {
   Word vbuf[kMaxKernelLanes];
   Word raw_buf[kMaxKernelLanes];
-  Word cur_buf[kMaxKernelLanes];
-  Word prev_raw_buf[kMaxKernelLanes];
   // Bridge couplings can enqueue backwards in level order; those events
   // survive into the next sweep. Any acyclic coupling chain settles
   // within n_bridges+1 sweeps, so the cap is pure safety (callers fall
@@ -547,15 +519,11 @@ bool SingleFaultPropagator::propagate_composite(const Frames& vals,
         const NetId g = bucket[idx];
         queued_[g] = false;
         --pending_;
-        eval_composite(g, vals, b0, m, apply_transitions, vbuf, raw_buf);
+        eval_composite(g, vals, b0, apply_transitions, vbuf, raw_buf);
         if (is_wired_member(g)) {
-          const Word* prev_raw;
-          if (raw_touched_[g]) {
-            prev_raw = raw_scratch_.data() + g * lanes_;
-          } else {
-            gather_row(vals, g, b0, m, prev_raw_buf);
-            prev_raw = prev_raw_buf;
-          }
+          const Word* prev_raw = raw_touched_[g]
+                                     ? raw_scratch_.data() + g * lanes_
+                                     : good_row(vals, g, b0);
           if (!std::equal(raw_buf, raw_buf + lanes_, prev_raw)) {
             std::copy(raw_buf, raw_buf + lanes_,
                       raw_scratch_.begin() + g * lanes_);
@@ -571,7 +539,7 @@ bool SingleFaultPropagator::propagate_composite(const Frames& vals,
                 enqueue_net(br.a == g ? br.b : br.a);
           }
         }
-        const Word* cur = read_row(vals, g, b0, m, cur_buf);
+        const Word* cur = read_row(vals, g, b0);
         if (!std::equal(vbuf, vbuf + lanes_, cur)) {
           std::copy(vbuf, vbuf + lanes_, scratch_.begin() + g * lanes_);
           if (!touched_[g]) {
@@ -589,43 +557,6 @@ bool SingleFaultPropagator::propagate_composite(const Frames& vals,
     }
   }
   return true;
-}
-
-void SingleFaultPropagator::collect_composite(std::size_t b0, std::size_t m,
-                                              ErrorSignature& sig) {
-  const Frames& vals = baseline_->values;
-  struct PoDiff {
-    std::uint32_t po;
-    Word diff;
-  };
-  std::vector<PoDiff> po_diffs;
-  for (std::size_t l = 0; l < m; ++l) {
-    const Word valid = patterns_->valid_mask(b0 + l);
-    Word any = kAllZero;
-    po_diffs.clear();
-    for (NetId t : touched_list_) {
-      if (auto idx = netlist_->output_index(t)) {
-        const Word diff =
-            (scratch_[t * lanes_ + l] ^ vals[b0 + l][t]) & valid;
-        if (diff) {
-          po_diffs.push_back({*idx, diff});
-          any |= diff;
-        }
-      }
-    }
-    while (any) {
-      const int bit = std::countr_zero(any);
-      any &= any - 1;
-      std::fill(po_mask_buf_.begin(), po_mask_buf_.end(), kAllZero);
-      for (const PoDiff& pd : po_diffs) {
-        if ((pd.diff >> bit) & 1u)
-          po_mask_buf_[pd.po / 64] |= Word{1} << (pd.po % 64);
-      }
-      sig.append(static_cast<std::uint32_t>((b0 + l) * 64 +
-                                            static_cast<std::size_t>(bit)),
-                 po_mask_buf_);
-    }
-  }
 }
 
 void SingleFaultPropagator::reset_composite() {
@@ -663,7 +594,7 @@ ErrorSignature SingleFaultPropagator::signature(
       // harvest the faulty launch rows the transition hold consumes in
       // frame 2 (the capture frame reads no other frame-1 state).
       seed_composite(/*apply_transitions=*/false);
-      if (!propagate_composite(launch_values_, b, m,
+      if (!propagate_composite(launch_values_.data(), b,
                                /*apply_transitions=*/false)) {
         reset_composite();
         return composite_fallback(multiplet);
@@ -672,21 +603,19 @@ ErrorSignature SingleFaultPropagator::signature(
       for (const CompTransition& t : comp_transitions_) {
         LaunchRow row;
         row.net = t.net;
-        gather_row(launch_values_, t.net, b, m, row.lanes);
-        if (touched_[t.net])
-          std::copy(scratch_.begin() + t.net * lanes_,
-                    scratch_.begin() + t.net * lanes_ + lanes_, row.lanes);
+        const Word* faulty = read_row(launch_values_.data(), t.net, b);
+        std::copy(faulty, faulty + lanes_, row.lanes);
         launch_faulty_.push_back(row);
       }
       reset_composite();
     }
     seed_composite(/*apply_transitions=*/launch_ != nullptr);
-    if (!propagate_composite(baseline_->values, b, m,
+    if (!propagate_composite(baseline_->values.data(), b,
                              /*apply_transitions=*/launch_ != nullptr)) {
       reset_composite();
       return composite_fallback(multiplet);
     }
-    collect_composite(b, m, sig);
+    collect_pos(b, m, sig);
     reset_composite();
     b += m;
   }

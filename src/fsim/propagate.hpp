@@ -43,10 +43,20 @@ namespace mdd {
 /// the same pair — across threads or across requests in the serving layer
 /// — can share one copy instead of re-simulating the whole circuit each
 /// (including propagators running different kernels: the layout is
-/// block-major, kernel-independent).
+/// kernel-independent).
+///
+/// Values are net-major: net n owns one row of `stride` words, n_blocks
+/// rounded up to kMaxKernelLanes. The padding slots hold copies of the
+/// last valid block, the replication a kernel's padding lanes expect, so
+/// the lane row of net n for the group starting at block b0 is
+/// row(n) + b0 for every kernel width and is read in place.
 struct PropagatorBaseline {
-  std::vector<std::vector<Word>> values;  ///< [block][net]
-  PatternSet good;                        ///< PO response (masked to valid)
+  std::size_t n_blocks = 0;  ///< 64-pattern blocks of the pattern set
+  std::size_t stride = 0;    ///< words per net row
+  std::vector<Word> values;  ///< [net][stride]
+  PatternSet good;           ///< PO response (masked to valid)
+
+  const Word* row(NetId n) const { return values.data() + n * stride; }
 };
 
 class SingleFaultPropagator {
@@ -90,23 +100,26 @@ class SingleFaultPropagator {
   const PatternSet& good_response() const { return baseline_->good; }
 
  private:
-  using Frames = std::vector<std::vector<Word>>;  // [block][net]
+  /// Good lane row of net `n` for the group at block `b0`, in place in
+  /// `frame` (a [net][stride_] array laid out like PropagatorBaseline).
+  const Word* good_row(const Word* frame, NetId n, std::size_t b0) const {
+    return frame + n * stride_ + b0;
+  }
+  /// Lane row of net `n`: the scratch overlay if touched, else the good row.
+  const Word* read_row(const Word* frame, NetId n, std::size_t b0) const {
+    return touched_[n] ? scratch_.data() + n * lanes_
+                       : good_row(frame, n, b0);
+  }
 
-  /// Gathers net `n`'s lane row for the group at `b0` (m valid blocks;
-  /// padding lanes replicate the last valid block) into `out`.
-  void gather_row(const Frames& vals, NetId n, std::size_t b0, std::size_t m,
-                  Word* out) const;
-  /// Lane row of net `n`: the scratch overlay if touched, else the good
-  /// row gathered into `buf`.
-  const Word* read_row(const Frames& vals, NetId n, std::size_t b0,
-                       std::size_t m, Word* buf) const;
-
-  void seed_fault(const Fault& fault, std::size_t b0, std::size_t m);
+  void seed_fault(const Fault& fault, std::size_t b0);
   /// Propagates the seeded wave; returns true if `watch` was touched
   /// (feedback-bridge detection — the optimistic result is then invalid).
   bool propagate(std::size_t b0, std::size_t m, ErrorSignature& sig,
                  NetId watch);
   void seed_site(NetId net, const Word* value, const Word* good);
+  /// Appends the failing patterns of this group's first `m` lanes — every
+  /// touched PO whose overlay differs from the good machine — to `sig`.
+  void collect_pos(std::size_t b0, std::size_t m, ErrorSignature& sig);
 
   // Composite (multi-fault) machinery. The multiplet is partitioned like
   // FaultyMachine::set_faults; every dequeued net is re-evaluated through
@@ -149,15 +162,12 @@ class SingleFaultPropagator {
   /// Re-evaluates net `g` under the composite fault set against the
   /// frame's committed `vals`; writes the final lane row to `out` and the
   /// pre-transform driver row (wired-bridge input) to `raw`.
-  void eval_composite(NetId g, const Frames& vals, std::size_t b0,
-                      std::size_t m, bool apply_transitions, Word* out,
-                      Word* raw);
+  void eval_composite(NetId g, const Word* vals, std::size_t b0,
+                      bool apply_transitions, Word* out, Word* raw);
   /// Runs the seeded wave to quiescence (multi-sweep: bridge couplings may
   /// enqueue backwards in level order). False if the sweep cap was hit.
-  bool propagate_composite(const Frames& vals, std::size_t b0, std::size_t m,
+  bool propagate_composite(const Word* vals, std::size_t b0,
                            bool apply_transitions);
-  /// Appends this group's PO differences to `sig`.
-  void collect_composite(std::size_t b0, std::size_t m, ErrorSignature& sig);
   void reset_composite();
   /// Exact-machine path (cyclic couplings / sweep-cap safety).
   ErrorSignature composite_fallback(std::span<const Fault> multiplet);
@@ -172,17 +182,22 @@ class SingleFaultPropagator {
   /// Committed good values + PO response (owned or shared; never written
   /// after construction).
   std::shared_ptr<const PropagatorBaseline> baseline_;
-  Frames launch_values_;  // pair mode
+  std::size_t stride_;                ///< baseline_->stride
+  std::vector<Word> launch_values_;  ///< pair mode; baseline layout
 
   // Per-query scratch.
   std::vector<Word> scratch_;  ///< [net][lane] faulty overlay
-  std::vector<bool> touched_;
+  std::vector<char> touched_;  // bytes, not bits: tested per fanin
   std::vector<NetId> touched_list_;
   std::vector<std::vector<NetId>> level_queue_;
-  std::vector<bool> queued_;
-  std::vector<Word> fanin_lanes_;  ///< [fanin slot][lane] gather buffer
+  std::vector<char> queued_;
   std::vector<const Word*> fanin_ptrs_;
-  std::vector<Word> po_mask_buf_;
+  /// (net, PO index) of the group's touched POs.
+  std::vector<std::pair<NetId, std::uint32_t>> touched_pos_;
+  std::size_t n_po_words_;
+  /// [pattern bit][PO word] failing-output masks of one lane; all zero
+  /// between lanes.
+  std::vector<Word> bit_table_;
 
   // Composite-query scratch (allocated on first composite query).
   std::vector<CompStem> comp_stems_;
@@ -190,7 +205,7 @@ class SingleFaultPropagator {
   std::vector<CompBridge> comp_bridges_;
   std::vector<CompTransition> comp_transitions_;
   std::vector<Word> raw_scratch_;  ///< pre-transform rows, wired members
-  std::vector<bool> raw_touched_;
+  std::vector<char> raw_touched_;
   std::vector<NetId> raw_touched_list_;
   /// Faulty launch-frame rows at the transition nets (pair mode; the only
   /// frame-1 state the capture frame consumes).

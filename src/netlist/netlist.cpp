@@ -152,21 +152,6 @@ void Netlist::finalize() {
   finalized_ = true;
 }
 
-std::span<const NetId> Netlist::fanins(NetId n) const {
-  return fanin_lists_[n];
-}
-
-std::span<const NetId> Netlist::fanouts(NetId n) const {
-  assert(finalized_);
-  return fanout_lists_[n];
-}
-
-std::optional<std::uint32_t> Netlist::output_index(NetId n) const {
-  assert(finalized_);
-  if (output_index_[n] == 0) return std::nullopt;
-  return output_index_[n] - 1;
-}
-
 NetId Netlist::find_net(std::string_view name) const {
   auto it = by_name_.find(std::string(name));
   return it == by_name_.end() ? kNoNet : it->second;

@@ -12,6 +12,7 @@
 // simulators require a finalized netlist.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -76,8 +77,11 @@ class Netlist {
   std::size_t n_gates() const { return kinds_.size() - inputs_.size(); }
 
   GateKind kind(NetId n) const { return kinds_[n]; }
-  std::span<const NetId> fanins(NetId n) const;
-  std::span<const NetId> fanouts(NetId n) const;
+  std::span<const NetId> fanins(NetId n) const { return fanin_lists_[n]; }
+  std::span<const NetId> fanouts(NetId n) const {
+    assert(finalized_);
+    return fanout_lists_[n];
+  }
 
   const std::vector<NetId>& inputs() const { return inputs_; }
   const std::vector<NetId>& outputs() const { return outputs_; }
@@ -88,7 +92,11 @@ class Netlist {
   std::uint32_t depth() const { return depth_; }
 
   /// Position of `n` in the PO list if it is a PO.
-  std::optional<std::uint32_t> output_index(NetId n) const;
+  std::optional<std::uint32_t> output_index(NetId n) const {
+    assert(finalized_);
+    if (output_index_[n] == 0) return std::nullopt;
+    return output_index_[n] - 1;
+  }
 
   /// True if `n` is a primary input.
   bool is_input(NetId n) const { return kinds_[n] == GateKind::Input; }

@@ -153,7 +153,11 @@ int serve_on_listener(DiagnosisService& service, int listen_fd,
       }
     };
 
+    // Every byte is scanned for '\n' once and every consumed line is
+    // dropped by one compaction per read, so a long line arriving in small
+    // reads or a pipelined burst costs linear time.
     std::string buffer;
+    std::size_t scanned = 0;  // buffer[0, scanned) holds no '\n'
     char chunk[4096];
     bool shutdown_server = false;
     for (;;) {
@@ -161,10 +165,11 @@ int serve_on_listener(DiagnosisService& service, int listen_fd,
       if (r < 0 && errno == EINTR) continue;
       if (r <= 0) break;
       buffer.append(chunk, static_cast<std::size_t>(r));
+      std::size_t start = 0;  // first byte of the next unconsumed line
       std::size_t nl;
-      while ((nl = buffer.find('\n')) != std::string::npos) {
-        const std::string line = buffer.substr(0, nl);
-        buffer.erase(0, nl + 1);
+      while ((nl = buffer.find('\n', scanned)) != std::string::npos) {
+        const std::string line = buffer.substr(start, nl - start);
+        start = scanned = nl + 1;
         if (blank(line)) continue;
         Json request;
         try {
@@ -201,6 +206,8 @@ int serve_on_listener(DiagnosisService& service, int listen_fd,
             [&](const Json& streamed) { respond(streamed); });
       }
       if (shutdown_server) break;
+      buffer.erase(0, start);
+      scanned = buffer.size();
     }
     outstanding.wait_idle();
     ::close(fd);

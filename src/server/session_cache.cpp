@@ -140,8 +140,7 @@ std::size_t approx_session_bytes(const Session& session) {
   // are approximated by a per-net constant.
   std::size_t baseline_bytes = 0;
   if (session.baseline != nullptr)
-    baseline_bytes = session.baseline->values.size() *
-                         session.netlist.n_nets() * sizeof(Word) +
+    baseline_bytes = session.baseline->values.size() * sizeof(Word) +
                      matrix_bytes(session.baseline->good);
   return matrix_bytes(session.patterns) + matrix_bytes(session.good) +
          baseline_bytes + session.netlist.n_nets() * 160;

@@ -47,8 +47,8 @@ struct Session {
   /// Cross-request composite-signature memo for the multiplet search
   /// (full-window datalogs only; thread-safe, like `memo`).
   std::unique_ptr<CompositeMemo> composites;
-  /// Shared propagator good-machine state ([block][net] values + PO
-  /// response); read-only after load, reused by every full-window context
+  /// Shared propagator good-machine state (net-major [net][stride] values
+  /// + PO response); read-only after load, reused by every full-window context
   /// so requests skip the per-request whole-circuit good simulation.
   std::shared_ptr<const PropagatorBaseline> baseline;
   /// Persistent dictionary store for this exact (netlist, patterns), if

@@ -16,6 +16,7 @@
 #include "fsim/fsim.hpp"
 #include "fsim/propagate.hpp"
 #include "netlist/generator.hpp"
+#include "obs/metrics.hpp"
 #include "sim/kernel.hpp"
 #include "sim/sim2.hpp"
 
@@ -257,6 +258,103 @@ TEST(KernelEquiv, PropagatorSoloAndCompositeMatchScalar) {
         EXPECT_EQ(prop.signature(multiplet), reference.signature(multiplet));
       }
     }
+  }
+}
+
+TEST(KernelEquiv, SharedBaselineServesEveryKernel) {
+  // One baseline, read in place by every kernel's propagator: the padded
+  // net-major rows must give each lane width (1, 4, 8) the same lane rows,
+  // including the ragged last group, and the feedback fallbacks must take
+  // the same exact-machine path.
+  const std::uint64_t seed = 51;
+  const Netlist nl = make_random_circuit(circuit_config(seed));
+  for (const std::size_t n_pat : {1u, 63u, 65u, 130u, 513u}) {
+    SCOPED_TRACE("n_pat=" + std::to_string(n_pat));
+    const PatternSet patterns =
+        PatternSet::random(n_pat, nl.n_inputs(), seed + n_pat);
+    const auto baseline = SingleFaultPropagator::make_baseline(nl, patterns);
+    ASSERT_EQ(baseline->n_blocks, patterns.n_blocks());
+    ASSERT_EQ(baseline->stride % kMaxKernelLanes, 0u);
+    ASSERT_EQ(baseline->values.size(), nl.n_nets() * baseline->stride);
+    BlockSim sim(nl, scalar_kernel());
+    for (std::size_t b = 0; b < patterns.n_blocks(); ++b) {
+      sim.run(patterns, b);
+      for (NetId n = 0; n < nl.n_nets(); ++n)
+        ASSERT_EQ(baseline->row(n)[b], sim.value(n)) << "net " << n;
+    }
+    for (NetId n = 0; n < nl.n_nets(); ++n) {
+      const Word* row = baseline->row(n);
+      for (std::size_t s = baseline->n_blocks; s < baseline->stride; ++s)
+        ASSERT_EQ(row[s], row[baseline->n_blocks - 1])
+            << "net " << n << " padding slot " << s;
+    }
+
+    // Faults with one defined answer: no bridge between a net and its own
+    // fan-out cone.
+    std::vector<Fault> faults;
+    for (const Fault& f : static_only(make_fault_list(nl, 48, seed)))
+      if (f.is_stuck_at() || !is_feedback_pair(nl, f.net, f.bridge_net))
+        faults.push_back(f);
+    FaultSimulator reference(nl, patterns, scalar_kernel());
+    std::vector<ErrorSignature> solo;
+    for (const Fault& f : faults) solo.push_back(reference.signature(f));
+    std::mt19937_64 rng(seed + n_pat);
+    std::vector<std::vector<Fault>> multiplets;
+    for (int trial = 0; trial < 10; ++trial) {
+      std::vector<Fault> multiplet;
+      const std::size_t size = 2 + rng() % 3;
+      for (std::size_t j = 0; j < size; ++j)
+        multiplet.push_back(faults[rng() % faults.size()]);
+      multiplets.push_back(multiplet);
+    }
+    for (const SimKernel* k : available_kernels()) {
+      SCOPED_TRACE(std::string("kernel=") + k->name);
+      SingleFaultPropagator prop(nl, patterns, baseline, *k);
+      EXPECT_EQ(prop.good_response(), reference.good_response());
+      for (std::size_t i = 0; i < faults.size(); ++i)
+        EXPECT_EQ(prop.signature(faults[i]), solo[i])
+            << to_string(faults[i], nl);
+      for (const auto& multiplet : multiplets)
+        EXPECT_EQ(prop.signature(std::span<const Fault>(multiplet)),
+                  reference.signature(multiplet));
+    }
+
+    // Bridges between a net and one of its fan-outs run on the exact
+    // fixpoint machine: a wired one solo, and any multiplet holding a
+    // dominant one (its coupling is cyclic). That machine keeps its net
+    // values from query to query and a feedback loop can latch them, so
+    // these are checked on fresh objects against the same kernel.
+    const std::uint64_t fallbacks_before =
+        obs::registry().counter("propagate.fallbacks").value();
+    const std::uint64_t composite_fallbacks_before =
+        obs::registry().counter("propagate.composite_fallbacks").value();
+    std::size_t n_feedback = 0;
+    for (NetId n = 0; n < nl.n_nets() && n_feedback < 4; n += 11) {
+      if (nl.fanouts(n).empty()) continue;
+      ++n_feedback;
+      const NetId fanout = nl.fanouts(n)[0];
+      const Fault wired = Fault::bridge_wor(n, fanout);
+      const std::vector<Fault> multiplet{faults[0],
+                                         Fault::bridge_dom(n, fanout)};
+      for (const SimKernel* k : available_kernels()) {
+        SCOPED_TRACE(std::string("kernel=") + k->name + " feedback " +
+                     to_string(wired, nl));
+        {
+          SingleFaultPropagator prop(nl, patterns, baseline, *k);
+          FaultSimulator exact(nl, patterns, *k);
+          EXPECT_EQ(prop.signature(wired), exact.signature(wired));
+        }
+        SingleFaultPropagator prop(nl, patterns, baseline, *k);
+        FaultSimulator exact(nl, patterns, *k);
+        EXPECT_EQ(prop.signature(std::span<const Fault>(multiplet)),
+                  exact.signature(multiplet));
+      }
+    }
+    EXPECT_EQ(obs::registry().counter("propagate.fallbacks").value(),
+              fallbacks_before + n_feedback * available_kernels().size());
+    EXPECT_EQ(obs::registry().counter("propagate.composite_fallbacks").value(),
+              composite_fallbacks_before +
+                  n_feedback * available_kernels().size());
   }
 }
 

@@ -83,15 +83,18 @@ TEST(SessionCache, SessionPrecomputesSharedState) {
       simulate(session->netlist, session->patterns);
   EXPECT_EQ(session->good, expected_good);
 
-  // Propagator baseline: one [block][net] row per 64-pattern block, plus
-  // the good PO response — full-window shape, ready for sharing.
+  // Propagator baseline: one net-major row per net, n_blocks words padded
+  // to a whole widest lane group, plus the good PO response — full-window
+  // shape, ready for sharing.
   ASSERT_NE(session->baseline, nullptr);
+  const PropagatorBaseline& base = *session->baseline;
   const std::size_t n_blocks = (session->patterns.n_patterns() + 63) / 64;
-  ASSERT_EQ(session->baseline->values.size(), n_blocks);
-  for (const auto& block : session->baseline->values)
-    EXPECT_EQ(block.size(), session->netlist.n_nets());
-  EXPECT_EQ(session->baseline->good.n_patterns(),
-            session->patterns.n_patterns());
+  EXPECT_EQ(base.n_blocks, n_blocks);
+  EXPECT_EQ(base.stride % kMaxKernelLanes, 0u);
+  EXPECT_GE(base.stride, n_blocks);
+  EXPECT_LT(base.stride, n_blocks + kMaxKernelLanes);
+  ASSERT_EQ(base.values.size(), session->netlist.n_nets() * base.stride);
+  EXPECT_EQ(base.good.n_patterns(), session->patterns.n_patterns());
 
   // Cross-request memos exist (empty until requests populate them).
   ASSERT_NE(session->memo, nullptr);
@@ -100,6 +103,16 @@ TEST(SessionCache, SessionPrecomputesSharedState) {
   EXPECT_EQ(session->traces->stats().entries, 0u);
 
   EXPECT_EQ(approx_session_bytes(*session), session->approx_bytes);
+  // The budget charges the bytes the session really allocated: the
+  // baseline's whole padded value array and every bit matrix, plus the
+  // per-net netlist constant.
+  const auto matrix_bytes = [](const PatternSet& ps) {
+    return ps.n_blocks() * ps.n_signals() * sizeof(Word);
+  };
+  EXPECT_EQ(approx_session_bytes(*session),
+            base.values.capacity() * sizeof(Word) + matrix_bytes(base.good) +
+                matrix_bytes(session->patterns) +
+                matrix_bytes(session->good) + session->netlist.n_nets() * 160);
 }
 
 TEST(SessionCache, EvictsLeastRecentlyUsed) {

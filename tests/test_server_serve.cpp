@@ -137,6 +137,64 @@ TEST(ServeTcp, PingBypassesABusyQueue) {
   server.shutdown();
 }
 
+namespace {
+
+bool send_all(int fd, const std::string& bytes) {
+  for (std::size_t off = 0; off < bytes.size();) {
+    const ssize_t w = ::send(fd, bytes.data() + off, bytes.size() - off, 0);
+    if (w <= 0) return false;
+    off += static_cast<std::size_t>(w);
+  }
+  return true;
+}
+
+}  // namespace
+
+TEST(ServeTcp, PipelinedBurstInOneWriteIsAllAnswered) {
+  // Several reads' worth of requests sent in one write: lines straddle the
+  // reader's chunk boundaries and every one must be answered, in order
+  // (pings are answered on the reader thread). The burst is sent from its
+  // own thread so the answers drain while it is still being written.
+  TcpServerFixture server;
+  constexpr int kRequests = 1000;
+  std::string burst;
+  for (int i = 0; i < kRequests; ++i)
+    burst += "{\"op\":\"ping\",\"id\":" + std::to_string(i) + "}\n";
+  EXPECT_GT(burst.size(), 4 * 4096u);
+  {
+    TcpLineClient client("127.0.0.1", server.port);
+    bool sent = false;
+    std::thread sender([&] { sent = send_all(client.fd(), burst); });
+    for (int i = 0; i < kRequests; ++i) {
+      const std::string response = client.recv_line();
+      EXPECT_NE(response.find("\"id\":" + std::to_string(i) + ","),
+                std::string::npos)
+          << response;
+    }
+    sender.join();
+    EXPECT_TRUE(sent);
+  }
+  server.shutdown();
+}
+
+TEST(ServeTcp, RequestInOneByteWritesIsAnswered) {
+  TcpServerFixture server;
+  {
+    TcpLineClient client("127.0.0.1", server.port);
+    const std::string request = "{\"op\":\"ping\",\"id\":\"trickle\"}\n";
+    for (const char c : request) {
+      EXPECT_TRUE(send_all(client.fd(), std::string(1, c)));
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    const std::string response = client.recv_line();
+    EXPECT_NE(response.find("\"id\":\"trickle\""), std::string::npos)
+        << response;
+    EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos)
+        << response;
+  }
+  server.shutdown();
+}
+
 TEST(ServeTcp, UdsTransportRoundTrips) {
   DiagnosisService service;
   std::ostringstream log;
