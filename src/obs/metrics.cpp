@@ -174,77 +174,4 @@ std::string render_prometheus(const Snapshot& snapshot) {
   return out;
 }
 
-std::string relabel_prometheus(std::string_view exposition,
-                               std::string_view label_key,
-                               std::string_view label_value) {
-  const std::string label =
-      std::string(label_key) + "=\"" + std::string(label_value) + "\"";
-  std::string out;
-  out.reserve(exposition.size() + exposition.size() / 8);
-  std::size_t pos = 0;
-  while (pos < exposition.size()) {
-    std::size_t eol = exposition.find('\n', pos);
-    if (eol == std::string_view::npos) eol = exposition.size();
-    const std::string_view line = exposition.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty() || line.front() == '#') {
-      out += line;
-      out += '\n';
-      continue;
-    }
-    // A sample line is `name[{labels}] value`; the name ends at the first
-    // '{' or space. Lines that fit neither shape pass through untouched —
-    // relabelling must never corrupt an exposition it cannot parse.
-    const std::size_t brace = line.find('{');
-    const std::size_t space = line.find(' ');
-    if (brace != std::string_view::npos &&
-        (space == std::string_view::npos || brace < space)) {
-      out += line.substr(0, brace + 1);
-      out += label;
-      out += ',';
-      out += line.substr(brace + 1);
-    } else if (space != std::string_view::npos) {
-      out += line.substr(0, space);
-      out += '{';
-      out += label;
-      out += '}';
-      out += line.substr(space);
-    } else {
-      out += line;
-    }
-    out += '\n';
-  }
-  return out;
-}
-
-std::string merge_prometheus(
-    const std::vector<std::pair<std::string, std::string>>& labeled,
-    std::string_view label_key) {
-  // `# TYPE` lines repeat across shards; a valid exposition declares each
-  // metric once, so only the first occurrence survives the merge.
-  std::vector<std::string> seen_comments;
-  std::string out;
-  for (const auto& [value, exposition] : labeled) {
-    const std::string relabeled =
-        relabel_prometheus(exposition, label_key, value);
-    std::size_t pos = 0;
-    while (pos < relabeled.size()) {
-      std::size_t eol = relabeled.find('\n', pos);
-      if (eol == std::string::npos) eol = relabeled.size();
-      const std::string_view line =
-          std::string_view(relabeled).substr(pos, eol - pos);
-      pos = eol + 1;
-      if (!line.empty() && line.front() == '#') {
-        if (std::find(seen_comments.begin(), seen_comments.end(), line) !=
-            seen_comments.end())
-          continue;
-        seen_comments.emplace_back(line);
-      }
-      out += line;
-      out += '\n';
-    }
-  }
-  return out;
-}
-
 }  // namespace mdd::obs

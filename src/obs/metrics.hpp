@@ -173,22 +173,4 @@ Registry& registry();
 /// series plus `_sum`/`_count`, infos as `name{key="value"} 1` gauges.
 std::string render_prometheus(const Snapshot& snapshot);
 
-/// Rewrites a text exposition so every sample line carries
-/// `label_key="label_value"` (prepended to an existing label set, or as
-/// a fresh one): `m 3` → `m{shard="0"} 3`, `m{le="5"} 3` →
-/// `m{shard="0",le="5"} 3`. Comment and blank lines pass through
-/// untouched. The shard router uses this to keep per-worker series
-/// distinguishable in one aggregated scrape.
-std::string relabel_prometheus(std::string_view exposition,
-                               std::string_view label_key,
-                               std::string_view label_value);
-
-/// Merges several label-disjoint expositions (one per shard) into one:
-/// each input is relabelled with `label_key="<its label>"`, and repeated
-/// `# TYPE` comment lines are emitted once (first occurrence wins) so
-/// the merged exposition stays parseable.
-std::string merge_prometheus(
-    const std::vector<std::pair<std::string, std::string>>& labeled,
-    std::string_view label_key = "shard");
-
 }  // namespace mdd::obs

@@ -57,8 +57,8 @@ bool send_all(int fd, const char* data, std::size_t n, int timeout_ms) {
 
 MetricsHttpServer::MetricsHttpServer(
     std::uint16_t port, std::ostream& log,
-    const std::function<void(std::uint16_t)>& on_listening, BodyProvider body)
-    : log_(log), body_(std::move(body)) {
+    const std::function<void(std::uint16_t)>& on_listening)
+    : log_(log) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0)
     throw std::runtime_error(std::string("metrics socket: ") +
@@ -124,13 +124,8 @@ void MetricsHttpServer::run() {
     char head[2048];
     const ssize_t r = ::recv(fd, head, sizeof head, 0);
     (void)r;
-    std::string body;
-    try {
-      body = body_ ? body_()
-                   : obs::render_prometheus(obs::registry().snapshot());
-    } catch (const std::exception&) {
-      body.clear();  // answer the scrape; a broken provider is not fatal
-    }
+    const std::string body =
+        obs::render_prometheus(obs::registry().snapshot());
     std::string response =
         "HTTP/1.0 200 OK\r\n"
         "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"

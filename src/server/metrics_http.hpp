@@ -5,10 +5,8 @@
 // knowledge of the diagnosis protocol (and a wedged diagnosis queue
 // never blocks a scrape). Every request, whatever the path, is answered
 // with the text exposition (format 0.0.4) of the process-wide metric
-// registry — or of a caller-supplied body provider (the shard router
-// aggregates its workers' expositions this way) — and the connection is
-// closed: the subset of HTTP that `curl` and a Prometheus scraper
-// actually need.
+// registry and the connection is closed: the subset of HTTP that `curl`
+// and a Prometheus scraper actually need.
 //
 // Robustness: the responder is single-threaded, so one hostile client
 // must not wedge scraping for everyone. A client that connects but never
@@ -21,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <string>
 #include <thread>
 
 namespace mdd::server {
@@ -30,17 +27,12 @@ namespace mdd::server {
 /// the protocol socket (unauthenticated by design).
 class MetricsHttpServer {
  public:
-  /// Produces the exposition body for one scrape. Called on the serving
-  /// thread; exceptions degrade to an empty body (scrape still answered).
-  using BodyProvider = std::function<std::string()>;
-
   /// Binds 127.0.0.1:`port` (0 = ephemeral) and starts the serving
-  /// thread. Reports the bound port through `on_listening`. A null
-  /// `body` serves the process-wide registry exposition. Throws
+  /// thread. Reports the bound port through `on_listening`. Throws
   /// std::runtime_error if the socket cannot be bound.
-  MetricsHttpServer(std::uint16_t port, std::ostream& log,
-                    const std::function<void(std::uint16_t)>& on_listening = {},
-                    BodyProvider body = {});
+  MetricsHttpServer(
+      std::uint16_t port, std::ostream& log,
+      const std::function<void(std::uint16_t)>& on_listening = {});
   ~MetricsHttpServer();
 
   MetricsHttpServer(const MetricsHttpServer&) = delete;
@@ -63,7 +55,6 @@ class MetricsHttpServer {
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::ostream& log_;
-  BodyProvider body_;
   int io_timeout_ms_ = 2000;
   std::thread thread_;
   bool stopped_ = false;

@@ -4,7 +4,6 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -13,11 +12,12 @@
 #include <condition_variable>
 #include <cstring>
 #include <istream>
+#include <list>
 #include <mutex>
 #include <ostream>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
-#include <vector>
 
 #include "obs/metrics.hpp"
 
@@ -38,6 +38,9 @@ struct ServeMetrics {
   /// reports). Waiting is fine; only a stall past the write deadline
   /// fails the connection.
   obs::Counter& write_stalls = obs::registry().counter("server.write_stalls");
+  /// Connections closed for a request line past kMaxRequestLineBytes.
+  obs::Counter& line_too_long =
+      obs::registry().counter("server.line_too_long");
 };
 
 ServeMetrics& serve_metrics() {
@@ -115,18 +118,27 @@ void write_all(int fd, const char* data, std::size_t n) {
   }
 }
 
-/// The accept loop shared by the TCP and Unix-domain transports: one
-/// reader thread per connection, all feeding the shared service queue; a
-/// shutdown op drains, acknowledges, and closes the listener.
+/// The TCP accept loop: one reader thread per connection, all feeding
+/// the shared service queue; a shutdown op drains, acknowledges, and
+/// closes the listener.
 int serve_on_listener(DiagnosisService& service, int listen_fd,
                       std::ostream& log) {
+  ServeMetrics& metrics = serve_metrics();
   std::atomic<bool> stop{false};
-  std::mutex threads_mutex;
-  std::vector<std::thread> threads;
   std::mutex log_mutex;  // connection threads share `log`
+  const auto log_event = [&](const char* event, int fd,
+                             const std::string& error) {
+    Json record;
+    record.set("event", event);
+    record.set("fd", fd);
+    record.set("error", error);
+    std::lock_guard<std::mutex> lock(log_mutex);
+    log << record.dump() << "\n";
+    log.flush();
+  };
 
   const auto connection_main = [&](int fd) {
-    serve_metrics().connections.inc();
+    metrics.connections.inc();
     std::mutex write_mutex;
     Outstanding outstanding;
     // One log line per connection, not per failed write: once the client
@@ -142,25 +154,21 @@ int serve_on_listener(DiagnosisService& service, int listen_fd,
         // Client went away; outstanding work still drains harmlessly —
         // but the event is counted and logged, not swallowed.
         write_failed = true;
-        serve_metrics().connection_errors.inc();
-        Json record;
-        record.set("event", "connection_error");
-        record.set("fd", fd);
-        record.set("error", e.what());
-        std::lock_guard<std::mutex> log_lock(log_mutex);
-        log << record.dump() << "\n";
-        log.flush();
+        metrics.connection_errors.inc();
+        log_event("connection_error", fd, e.what());
       }
     };
 
     // Every byte is scanned for '\n' once and every consumed line is
     // dropped by one compaction per read, so a long line arriving in small
-    // reads or a pipelined burst costs linear time.
+    // reads or a pipelined burst costs linear time. A line past
+    // kMaxRequestLineBytes ends the connection before it can grow further.
     std::string buffer;
     std::size_t scanned = 0;  // buffer[0, scanned) holds no '\n'
     char chunk[4096];
     bool shutdown_server = false;
-    for (;;) {
+    bool too_long = false;
+    while (!shutdown_server && !too_long) {
       const ssize_t r = ::read(fd, chunk, sizeof chunk);
       if (r < 0 && errno == EINTR) continue;
       if (r <= 0) break;
@@ -168,6 +176,10 @@ int serve_on_listener(DiagnosisService& service, int listen_fd,
       std::size_t start = 0;  // first byte of the next unconsumed line
       std::size_t nl;
       while ((nl = buffer.find('\n', scanned)) != std::string::npos) {
+        if (nl - start > kMaxRequestLineBytes) {
+          too_long = true;
+          break;
+        }
         const std::string line = buffer.substr(start, nl - start);
         start = scanned = nl + 1;
         if (blank(line)) continue;
@@ -175,7 +187,7 @@ int serve_on_listener(DiagnosisService& service, int listen_fd,
         try {
           request = Json::parse(line);
         } catch (const std::exception& e) {
-          serve_metrics().parse_errors.inc();
+          metrics.parse_errors.inc();
           respond(parse_error_response(e.what()));
           continue;
         }
@@ -190,9 +202,9 @@ int serve_on_listener(DiagnosisService& service, int listen_fd,
           break;
         }
         if (request.get_string("op") == "ping") {
-          // Answered on the reader thread, ahead of the queue: the
-          // router's heartbeat must measure process liveness, not queue
-          // depth (a shard deep into a batch is busy, not hung).
+          // Answered on the reader thread, ahead of the queue: a
+          // supervisor's health probe must measure process liveness, not
+          // queue depth (a daemon deep into a batch is busy, not hung).
           respond(service.handle(request));
           continue;
         }
@@ -205,9 +217,15 @@ int serve_on_listener(DiagnosisService& service, int listen_fd,
             },
             [&](const Json& streamed) { respond(streamed); });
       }
-      if (shutdown_server) break;
       buffer.erase(0, start);
       scanned = buffer.size();
+      if (buffer.size() > kMaxRequestLineBytes) too_long = true;
+    }
+    if (too_long) {
+      metrics.line_too_long.inc();
+      respond(parse_error_response(
+          "request line exceeds " + std::to_string(kMaxRequestLineBytes) +
+          " bytes; send large datalog lots by path in 'datalog_files'"));
     }
     outstanding.wait_idle();
     ::close(fd);
@@ -217,6 +235,21 @@ int serve_on_listener(DiagnosisService& service, int listen_fd,
     }
   };
 
+  // Only this loop touches `connections`. A connection's thread sets its
+  // `finished` flag as its last act; each accept drops (and so joins) the
+  // finished ones, so closed connections do not keep their stacks mapped
+  // until shutdown. Declared after everything the threads use.
+  struct Connection {
+    Connection() = default;
+    Connection(const Connection&) = delete;
+    Connection& operator=(const Connection&) = delete;
+    ~Connection() {
+      if (thread.joinable()) thread.join();
+    }
+    std::thread thread;
+    std::atomic<bool> finished{false};
+  };
+  std::list<Connection> connections;
   for (;;) {
     const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) {
@@ -227,33 +260,33 @@ int serve_on_listener(DiagnosisService& service, int listen_fd,
       ::close(fd);
       break;
     }
-    std::lock_guard<std::mutex> lock(threads_mutex);
-    // An exception escaping a thread entry would std::terminate the whole
-    // daemon; downgrade to one logged, counted connection error.
-    threads.emplace_back(
-        [&](int cfd) {
-          try {
-            connection_main(cfd);
-          } catch (const std::exception& e) {
-            serve_metrics().connection_errors.inc();
-            Json record;
-            record.set("event", "connection_thread_error");
-            record.set("fd", cfd);
-            record.set("error", e.what());
-            std::lock_guard<std::mutex> log_lock(log_mutex);
-            log << record.dump() << "\n";
-            log.flush();
-            ::close(cfd);
-          }
-        },
-        fd);
+    connections.remove_if(
+        [](const Connection& c) { return c.finished.load(); });
+    Connection& c = connections.emplace_back();
+    try {
+      c.thread = std::thread([&, fd, finished = &c.finished] {
+        // An exception escaping a thread entry would std::terminate the
+        // whole daemon; downgrade to one logged, counted connection error.
+        try {
+          connection_main(fd);
+        } catch (const std::exception& e) {
+          metrics.connection_errors.inc();
+          log_event("connection_thread_error", fd, e.what());
+          ::close(fd);
+        }
+        finished->store(true);
+      });
+    } catch (const std::system_error& e) {
+      // No thread for this connection (thread or mapping limits): refuse
+      // it rather than let the exception abort the daemon.
+      connections.pop_back();
+      metrics.connection_errors.inc();
+      log_event("connection_spawn_error", fd, e.what());
+      ::close(fd);
+    }
   }
   ::close(listen_fd);
-  {
-    std::lock_guard<std::mutex> lock(threads_mutex);
-    for (std::thread& t : threads) t.join();
-    threads.clear();
-  }
+  connections.clear();  // waits for every live connection
   log << "openmdd_serve: shut down\n";
   return 0;
 }
@@ -338,40 +371,6 @@ int serve_tcp(DiagnosisService& service, std::uint16_t port,
   return serve_on_listener(service, listen_fd, log);
 }
 
-int serve_uds(DiagnosisService& service, const std::string& path,
-              std::ostream& log,
-              const std::function<void(const std::string&)>& on_listening) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    log << "openmdd_serve: socket path too long: " << path << "\n";
-    return 1;
-  }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listen_fd < 0) {
-    log << "openmdd_serve: socket: " << std::strerror(errno) << "\n";
-    return 1;
-  }
-  // A respawned worker reclaims its shard's address: the stale socket
-  // file of a crashed predecessor must not fail the bind.
-  ::unlink(path.c_str());
-  if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) <
-          0 ||
-      ::listen(listen_fd, 64) < 0) {
-    log << "openmdd_serve: bind/listen " << path << ": "
-        << std::strerror(errno) << "\n";
-    ::close(listen_fd);
-    return 1;
-  }
-  log << "openmdd_serve: listening on " << path << "\n";
-  log.flush();
-  if (on_listening) on_listening(path);
-  const int rc = serve_on_listener(service, listen_fd, log);
-  ::unlink(path.c_str());
-  return rc;
-}
-
 int connect_tcp_fd(const std::string& host, std::uint16_t port,
                    int connect_timeout_ms) {
   sockaddr_in addr{};
@@ -396,28 +395,6 @@ int connect_tcp_fd(const std::string& host, std::uint16_t port,
   }
 }
 
-int connect_uds_fd(const std::string& path, int connect_timeout_ms) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path))
-    throw std::runtime_error("socket path too long: " + path);
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  const auto give_up = std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(connect_timeout_ms);
-  for (;;) {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0)
-      throw std::runtime_error(std::string("socket: ") +
-                               std::strerror(errno));
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0)
-      return fd;
-    ::close(fd);
-    if (std::chrono::steady_clock::now() >= give_up)
-      throw std::runtime_error("cannot connect to " + path);
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-}
-
 LineClient::~LineClient() {
   if (fd_ >= 0) ::close(fd_);
 }
@@ -435,31 +412,6 @@ std::string LineClient::recv_line() {
       buffer_.erase(0, nl + 1);
       return line;
     }
-    char chunk[4096];
-    const ssize_t r = ::read(fd_, chunk, sizeof chunk);
-    if (r < 0 && errno == EINTR) continue;
-    if (r <= 0) throw std::runtime_error("connection closed by server");
-    buffer_.append(chunk, static_cast<std::size_t>(r));
-  }
-}
-
-std::optional<std::string> LineClient::recv_line_for(int timeout_ms) {
-  const auto give_up = std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(timeout_ms);
-  for (;;) {
-    const std::size_t nl = buffer_.find('\n');
-    if (nl != std::string::npos) {
-      std::string line = buffer_.substr(0, nl);
-      buffer_.erase(0, nl + 1);
-      return line;
-    }
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        give_up - std::chrono::steady_clock::now());
-    if (left.count() <= 0) return std::nullopt;
-    pollfd p{fd_, POLLIN, 0};
-    const int ready = ::poll(&p, 1, static_cast<int>(left.count()));
-    if (ready < 0 && errno == EINTR) continue;
-    if (ready == 0) return std::nullopt;
     char chunk[4096];
     const ssize_t r = ::read(fd_, chunk, sizeof chunk);
     if (r < 0 && errno == EINTR) continue;

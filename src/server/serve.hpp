@@ -1,33 +1,39 @@
 // openmdd — transports for the diagnosis daemon.
 //
 // The service itself is transport-free (JSON in, JSON out); this layer
-// frames it as line-delimited JSON over three transports:
+// frames it as line-delimited JSON over two transports:
 //
 //  * serve_stdio — one request object per stdin line, one response object
 //    per stdout line. Responses are written as they complete, so they can
 //    arrive out of order relative to requests — clients match on `id`.
 //  * serve_tcp — same framing on a loopback-only TCP socket, one reader
-//    thread per connection, all feeding the shared service queue.
-//  * serve_uds — same framing on a Unix-domain stream socket; this is the
-//    shard-worker transport behind the router (server/router.hpp), kept
-//    off TCP so a box full of workers burns no ports and gets filesystem
-//    permissions for free.
+//    thread per connection, all feeding the shared service queue. A
+//    connection's thread is joined by the accept loop once it finishes,
+//    and a request line longer than kMaxRequestLineBytes is answered
+//    with an error and closes its connection.
 //
-// All loops understand {"op":"shutdown"}: drain outstanding work,
-// acknowledge, and return. The matching blocking clients (LineClient and
-// its TCP/UDS flavors) are used by openmdd_loadgen, the router, and the
-// smoke tests.
+// Both loops understand {"op":"shutdown"}: drain outstanding work,
+// acknowledge, and return. `ping` is answered on the reader thread, ahead
+// of the queue, so it probes liveness for an external supervisor. The
+// blocking TCP client (TcpLineClient) is used by openmdd_loadgen,
+// perfbench, and the smoke tests.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <optional>
 #include <string>
 
 #include "server/service.hpp"
 
 namespace mdd::server {
+
+/// The longest request line serve_tcp reads, newline excluded: 64 MiB,
+/// about 1,700x the largest line perfbench sends (a 37.7 KB inline
+/// g1k `diagnose_batch`). Larger datalog lots go by path in
+/// `datalog_files`.
+constexpr std::size_t kMaxRequestLineBytes = std::size_t{64} << 20;
 
 /// Serves until EOF or a shutdown op; returns 0 on clean exit.
 int serve_stdio(DiagnosisService& service, std::istream& in,
@@ -41,21 +47,9 @@ int serve_tcp(DiagnosisService& service, std::uint16_t port,
               std::ostream& log,
               const std::function<void(std::uint16_t)>& on_listening = {});
 
-/// Binds a Unix-domain stream socket at `path` (an existing socket file
-/// is unlinked first — workers respawn onto the same address), reports
-/// readiness through `on_listening`, serves until a shutdown op. Returns
-/// 0 on clean exit, nonzero on socket errors.
-int serve_uds(DiagnosisService& service, const std::string& path,
-              std::ostream& log,
-              const std::function<void(const std::string&)>& on_listening = {});
-
-/// Connects a blocking stream socket to the Unix-domain address `path`,
-/// retrying for up to `connect_timeout_ms` (worker startup races).
-/// Returns the connected fd (CLOEXEC); throws std::runtime_error on
-/// timeout.
-int connect_uds_fd(const std::string& path, int connect_timeout_ms = 5000);
-
-/// Same, for 127.0.0.1:`port` TCP.
+/// Connects a blocking TCP socket to `host`:`port`, retrying for up to
+/// `connect_timeout_ms` (server startup races). Returns the connected fd
+/// (CLOEXEC); throws std::runtime_error on timeout.
 int connect_tcp_fd(const std::string& host, std::uint16_t port,
                    int connect_timeout_ms = 5000);
 
@@ -75,10 +69,6 @@ class LineClient {
 
   void send_line(const std::string& line);
   std::string recv_line();
-  /// recv_line with a poll deadline: nullopt if no complete line arrived
-  /// within `timeout_ms` (the connection stays usable); throws on EOF or
-  /// socket error like recv_line.
-  std::optional<std::string> recv_line_for(int timeout_ms);
 
   int fd() const { return fd_; }
 
@@ -94,13 +84,6 @@ class TcpLineClient : public LineClient {
   TcpLineClient(const std::string& host, std::uint16_t port,
                 int connect_timeout_ms = 5000)
       : LineClient(connect_tcp_fd(host, port, connect_timeout_ms)) {}
-};
-
-/// LineClient connected to a Unix-domain socket path.
-class UdsLineClient : public LineClient {
- public:
-  explicit UdsLineClient(const std::string& path, int connect_timeout_ms = 5000)
-      : LineClient(connect_uds_fd(path, connect_timeout_ms)) {}
 };
 
 }  // namespace mdd::server

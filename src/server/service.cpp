@@ -224,14 +224,14 @@ void DiagnosisService::refresh_session(
   // remainder for the next round. Failures are counted and skipped — a
   // broken disk must never take the serving path down.
   //
-  // The cross-process flock serializes folds of one store folder: with
-  // sharded serving every worker runs this thread against the shared
-  // --store-dir, and two unserialized folds are a lost update (both read
-  // version N, the second rename drops the first's learned faults while
-  // its journal was already compacted). `busy` skips the round — the
-  // holder folds now, this worker's backlog folds on a later tick
-  // against the holder's output. The snapshot is taken AFTER the lock so
-  // it cannot interleave with the holder's compact.
+  // The cross-process flock serializes folds of one store folder:
+  // `openmdd dict refresh` (or a second daemon on the same --store-dir)
+  // can fold it concurrently, and two unserialized folds are a lost
+  // update (both read version N, the second rename drops the first's
+  // learned faults while its journal was already compacted). `busy`
+  // skips the round — the holder folds now, this daemon's backlog folds
+  // on a later tick against the holder's output. The snapshot is taken
+  // AFTER the lock so it cannot interleave with the holder's compact.
   try {
     const store::RefreshLock lock = store::RefreshLock::try_acquire(
         options_.store_dir, session->netlist, session->patterns);
@@ -361,15 +361,6 @@ Json DiagnosisService::dispatch(const Json& request,
     Json r = make_response(request, "ok");
     r.set("op", "metrics");
     r.set("metrics", snapshot_to_json(obs::registry().snapshot()));
-    return r;
-  }
-  if (op == "prometheus") {
-    // The text exposition over the protocol socket: how the shard router
-    // collects worker registries to aggregate under a `shard` label
-    // without every worker burning its own metrics HTTP port.
-    Json r = make_response(request, "ok");
-    r.set("op", "prometheus");
-    r.set("text", obs::render_prometheus(obs::registry().snapshot()));
     return r;
   }
   return error_response(request, "unknown op '" + op + "'");

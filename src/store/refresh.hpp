@@ -28,9 +28,9 @@ namespace mdd::store {
 /// read version N, each writes N+{its faults}, and whichever tmp+rename
 /// lands last silently drops the other's learned faults — while the
 /// loser compacts its journal as if they were folded, losing them for
-/// good. With the sharded daemon every worker process runs its own
-/// refresh thread against the shared `--store-dir`, so the fold is now
-/// guarded by an advisory flock(2) on a `.lock` file beside the `.mdds`:
+/// good. `openmdd dict refresh` can race a daemon's refresh thread on
+/// one store, as can two daemons sharing one `--store-dir`, so the fold
+/// is guarded by an advisory flock(2) on a `.lock` file beside the `.mdds`:
 /// the kernel releases it on process death (no stale-lock recovery
 /// needed), and lock-file I/O failure degrades to the old uncoordinated
 /// behavior (fail-open: a missing lock must never stop learning).

@@ -136,75 +136,6 @@ TEST(Prometheus, ExpositionIsWellFormedAndCumulative) {
   EXPECT_NE(text.find("server_request_ms_sum 15.5"), std::string::npos);
 }
 
-TEST(Prometheus, RelabelPrependsTheLabelToEverySampleLine) {
-  const std::string text =
-      "# HELP m something\n"
-      "# TYPE m counter\n"
-      "m 3\n"
-      "\n"
-      "h_bucket{le=\"5\"} 3\n"
-      "h_sum 1.5\n";
-  const std::string relabeled = relabel_prometheus(text, "shard", "1");
-  // Bare samples grow a label set; existing sets get the new label first.
-  EXPECT_NE(relabeled.find("m{shard=\"1\"} 3"), std::string::npos)
-      << relabeled;
-  EXPECT_NE(relabeled.find("h_bucket{shard=\"1\",le=\"5\"} 3"),
-            std::string::npos)
-      << relabeled;
-  EXPECT_NE(relabeled.find("h_sum{shard=\"1\"} 1.5"), std::string::npos);
-  // Comments and blank lines pass through untouched.
-  EXPECT_NE(relabeled.find("# HELP m something\n"), std::string::npos);
-  EXPECT_NE(relabeled.find("# TYPE m counter\n"), std::string::npos);
-  EXPECT_NE(relabeled.find("\n\n"), std::string::npos);
-}
-
-TEST(Prometheus, MergeLabelsShardsAndDeclaresEachTypeOnce) {
-  const std::string shard0 =
-      "# TYPE requests counter\n"
-      "requests 10\n";
-  const std::string shard1 =
-      "# TYPE requests counter\n"
-      "requests 32\n";
-  const std::string merged =
-      merge_prometheus({{"0", shard0}, {"1", shard1}}, "shard");
-
-  EXPECT_NE(merged.find("requests{shard=\"0\"} 10"), std::string::npos)
-      << merged;
-  EXPECT_NE(merged.find("requests{shard=\"1\"} 32"), std::string::npos)
-      << merged;
-  // A valid exposition declares each metric once: the repeated TYPE
-  // comment from shard 1 must be dropped.
-  std::size_t type_lines = 0;
-  for (std::size_t pos = merged.find("# TYPE requests counter");
-       pos != std::string::npos;
-       pos = merged.find("# TYPE requests counter", pos + 1))
-    ++type_lines;
-  EXPECT_EQ(type_lines, 1u) << merged;
-}
-
-TEST(Prometheus, MergedRegistryExpositionStaysParseable) {
-  // End-to-end shape check on real registry output: every sample line in
-  // the merged text must carry the shard label, mirroring what the
-  // router's /metrics endpoint serves.
-  registry().counter("obs_test.merge_e2e").inc(5);
-  const std::string text = render_prometheus(registry().snapshot());
-  const std::string merged =
-      merge_prometheus({{"0", text}, {"router", text}});
-  std::size_t pos = 0;
-  while (pos < merged.size()) {
-    std::size_t eol = merged.find('\n', pos);
-    if (eol == std::string::npos) eol = merged.size();
-    const std::string_view line(merged.data() + pos, eol - pos);
-    if (!line.empty() && line[0] != '#') {
-      EXPECT_NE(line.find("shard=\""), std::string_view::npos)
-          << "unlabeled sample line: " << line;
-    }
-    pos = eol + 1;
-  }
-  EXPECT_NE(merged.find("obs_test_merge_e2e{shard=\"router\"} 5"),
-            std::string::npos);
-}
-
 TEST(Trace, NestedSpansRecordDepthAndDuration) {
   Trace trace;
   {

@@ -310,9 +310,11 @@ TEST(RefreshLock, UnusableLockFileFailsOpen) {
 }
 
 TEST(RefreshLock, RefreshStoreWaitsForTheHolder) {
-  // Regression for the sharded-daemon lost-update race: refresh_store
-  // must block on the holder and re-read journal + store after it
-  // releases, so the holder's fold cannot be silently overwritten.
+  // Regression for the lost-update race between `openmdd dict refresh`
+  // and a daemon's refresh thread (or two daemons on one --store-dir):
+  // refresh_store must block on the holder and re-read journal + store
+  // after it releases, so the holder's fold cannot be silently
+  // overwritten.
   const LearnedFixture f = LearnedFixture::make("lock_wait", true);
   const std::vector<Fault> learned = f.bridges(2);
   {

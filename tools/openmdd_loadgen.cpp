@@ -671,47 +671,6 @@ int main(int argc, char** argv) {
       stage_stats.print(std::cout, csv);
     }
 
-    // Sharded serving: when --connect points at a router, its stats carry
-    // a per-shard breakdown — print one row per worker so scaling runs
-    // show where the sessions landed (and who respawned).
-    if (mode == "tcp") {
-      const server::Json final_stats = fetch_stats();
-      const server::Json* shards = final_stats.find("shards");
-      if (shards != nullptr && shards->is_array() &&
-          !shards->as_array().empty()) {
-        std::cout << "\n";
-        TextTable shard_table({"shard", "state", "pid", "gen", "respawns",
-                               "ok", "err", "cache_hit", "cache_miss",
-                               "sig_hit%"});
-        for (const server::Json& entry : shards->as_array()) {
-          std::string ok = "-", err = "-", cache_hit = "-", cache_miss = "-",
-                      sig = "-";
-          if (const server::Json* worker = entry.find("stats")) {
-            if (const server::Json* reqs = worker->find("requests")) {
-              ok = fmt(reqs->get_number("ok"), 0);
-              err = fmt(reqs->get_number("error"), 0);
-            }
-            if (const server::Json* cache = worker->find("cache")) {
-              cache_hit = fmt(cache->get_number("hits"), 0);
-              cache_miss = fmt(cache->get_number("misses"), 0);
-            }
-            const MemoSample sample = memo_sample(*worker);
-            sig = hit_rate(sample.sig_hits, sample.sig_misses);
-          }
-          shard_table.add_row(
-              {fmt(entry.get_number("shard"), 0), entry.get_string("state"),
-               fmt(entry.get_number("pid"), 0),
-               fmt(entry.get_number("generation"), 0),
-               fmt(entry.get_number("respawns"), 0), ok, err, cache_hit,
-               cache_miss, sig});
-        }
-        if (csv)
-          shard_table.print_csv(std::cout);
-        else
-          shard_table.print(std::cout);
-      }
-    }
-
     if (send_shutdown && mode == "tcp") {
       server::TcpLineClient client(host, port);
       server::Json req;

@@ -5,8 +5,6 @@
 //                 [--exec-threads N] [--default-deadline-ms N]
 //                 [--metrics-port N] [--slow-ms N] [--kernel NAME]
 //                 [--store-dir DIR] [--store-refresh N] [--batch-threads N]
-//                 [--shards N] [--shard-socket-dir DIR]
-//                 [--shard-heartbeat-ms N]
 //
 // Speaks line-delimited JSON (one request object per line, one response
 // per line; protocol in src/server/service.hpp and DESIGN.md §7) either
@@ -18,33 +16,19 @@
 // exposition of the obs registry on a second loopback socket; --slow-ms
 // writes one structured JSON line to stderr per slow request.
 //
-// --shards N (with --port) turns this process into a router: it forks N
-// copies of itself as shard workers (each a full single-process daemon on
-// a private unix socket, sharing --store-dir), consistent-hashes requests
-// onto them by (netlist, patterns), streams their responses back
-// verbatim, and supervises them — crash/hang detection, respawn, typed
-// shard_failed errors for requests caught on a dead worker (DESIGN.md
-// §15). `--uds PATH` is the internal worker entry point the router
-// spawns; it is accepted from the command line for debugging but not
-// part of the supported interface.
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cerrno>
+// One daemon per host scales with --workers; crash isolation comes from
+// an external supervisor that restarts it, probing liveness with `ping`
+// (DESIGN.md §7, "Crash isolation and scale-out").
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "core/exec.hpp"
 #include "core/version.hpp"
 #include "server/metrics_http.hpp"
-#include "server/router.hpp"
 #include "sim/kernel.hpp"
 #include "server/serve.hpp"
 #include "server/service.hpp"
@@ -89,14 +73,6 @@ int usage() {
          " diagnose_batch request\n"
          "                         (default 0 = --workers; request"
          " 'threads' overrides)\n"
-         "  --shards N             fork N shard worker processes and route"
-         " requests onto them\n"
-         "                         by (netlist, patterns); needs --port\n"
-         "  --shard-socket-dir DIR directory for the shard unix sockets"
-         " (default: a fresh\n"
-         "                         mkdtemp under /tmp)\n"
-         "  --shard-heartbeat-ms N worker liveness probe period"
-         " (default 5000; 0 = off)\n"
          "  --kernel NAME          simulation kernel (available: "
       << mdd::kernel_names()
       << "; default: widest, or MDD_KERNEL)\n";
@@ -126,13 +102,6 @@ int main(int argc, char** argv) {
   std::uint16_t port = 0;
   std::size_t exec_threads = 0;
   std::optional<std::uint16_t> metrics_port;
-  std::size_t n_shards = 0;
-  std::string uds_path;
-  std::string shard_socket_dir;
-  std::size_t shard_heartbeat_ms = 5000;
-  // The service flags, re-collected verbatim: in router mode these are
-  // replayed onto every forked shard worker's command line.
-  std::vector<std::string> worker_flags;
   try {
     for (int i = 1; i < argc; ++i) {
       const std::string a = argv[i];
@@ -140,11 +109,6 @@ int main(int argc, char** argv) {
         if (i + 1 >= argc)
           throw std::runtime_error("missing value for " + a);
         return argv[++i];
-      };
-      const auto service_flag = [&](const std::string& v) {
-        worker_flags.push_back(a);
-        worker_flags.push_back(v);
-        return v;
       };
       if (a == "--stdio") {
         use_tcp = false;
@@ -154,47 +118,38 @@ int main(int argc, char** argv) {
         if (p > 65535) throw std::runtime_error("--port out of range");
         port = static_cast<std::uint16_t>(p);
       } else if (a == "--workers") {
-        options.n_workers = parse_count(service_flag(value()), a);
+        options.n_workers = parse_count(value(), a);
         if (options.n_workers == 0)
           throw std::runtime_error("--workers must be at least 1");
       } else if (a == "--queue") {
-        options.queue_depth = parse_count(service_flag(value()), a);
+        options.queue_depth = parse_count(value(), a);
         if (options.queue_depth == 0)
           throw std::runtime_error("--queue must be at least 1");
       } else if (a == "--cache-mb") {
-        options.cache_bytes = parse_count(service_flag(value()), a) << 20;
+        options.cache_bytes = parse_count(value(), a) << 20;
       } else if (a == "--memo-mb") {
-        options.memo_bytes = parse_count(service_flag(value()), a) << 20;
+        options.memo_bytes = parse_count(value(), a) << 20;
       } else if (a == "--composite-mb") {
-        options.composite_bytes = parse_count(service_flag(value()), a) << 20;
+        options.composite_bytes = parse_count(value(), a) << 20;
       } else if (a == "--exec-threads") {
-        exec_threads = parse_count(service_flag(value()), a);
+        exec_threads = parse_count(value(), a);
       } else if (a == "--default-deadline-ms") {
         options.default_deadline =
-            std::chrono::milliseconds(parse_count(service_flag(value()), a));
+            std::chrono::milliseconds(parse_count(value(), a));
       } else if (a == "--metrics-port") {
         const std::size_t p = parse_count(value(), a);
         if (p > 65535) throw std::runtime_error("--metrics-port out of range");
         metrics_port = static_cast<std::uint16_t>(p);
       } else if (a == "--slow-ms") {
-        options.slow_ms =
-            static_cast<double>(parse_count(service_flag(value()), a));
+        options.slow_ms = static_cast<double>(parse_count(value(), a));
       } else if (a == "--store-dir") {
-        options.store_dir = service_flag(value());
+        options.store_dir = value();
       } else if (a == "--store-refresh") {
-        options.store_refresh_threshold = parse_count(service_flag(value()), a);
+        options.store_refresh_threshold = parse_count(value(), a);
       } else if (a == "--batch-threads") {
-        options.batch_threads = parse_count(service_flag(value()), a);
+        options.batch_threads = parse_count(value(), a);
       } else if (a == "--kernel") {
-        options.kernel = service_flag(value());
-      } else if (a == "--shards") {
-        n_shards = parse_count(value(), a);
-      } else if (a == "--shard-socket-dir") {
-        shard_socket_dir = value();
-      } else if (a == "--shard-heartbeat-ms") {
-        shard_heartbeat_ms = parse_count(value(), a);
-      } else if (a == "--uds") {
-        uds_path = value();
+        options.kernel = value();
       } else if (a == "--help" || a == "-h") {
         return usage();
       } else {
@@ -210,58 +165,6 @@ int main(int argc, char** argv) {
   if (options.store_refresh_threshold > 0 && options.store_dir.empty()) {
     std::cerr << "openmdd_serve: --store-refresh needs --store-dir\n";
     return 2;
-  }
-
-  // Router mode: no service in this process — fork the shard workers
-  // (each re-executes this binary with --uds) and route between them.
-  if (n_shards > 0 && uds_path.empty()) {
-    if (!use_tcp) {
-      std::cerr << "openmdd_serve: --shards needs --port (the router is the"
-                   " TCP front-end)\n";
-      return 2;
-    }
-    if (shard_socket_dir.empty()) {
-      char tmpl[] = "/tmp/openmdd-shards-XXXXXX";
-      if (::mkdtemp(tmpl) == nullptr) {
-        std::cerr << "openmdd_serve: mkdtemp: cannot create socket dir\n";
-        return 1;
-      }
-      shard_socket_dir = tmpl;
-    } else if (::mkdir(shard_socket_dir.c_str(), 0700) != 0 &&
-               errno != EEXIST) {
-      std::cerr << "openmdd_serve: cannot create socket dir "
-                << shard_socket_dir << ": " << std::strerror(errno) << "\n";
-      return 1;
-    }
-    server::RouterOptions router_options;
-    router_options.n_shards = n_shards;
-    router_options.socket_dir = shard_socket_dir;
-    router_options.heartbeat_ms = static_cast<int>(shard_heartbeat_ms);
-    router_options.worker_argv.push_back("/proc/self/exe");
-    router_options.worker_argv.insert(router_options.worker_argv.end(),
-                                      worker_flags.begin(),
-                                      worker_flags.end());
-    std::cerr << "openmdd_serve " << kVersion << ": router, " << n_shards
-              << " shards, sockets in " << shard_socket_dir << "\n";
-    server::ShardRouter router(std::move(router_options), std::cerr);
-    try {
-      router.start();
-    } catch (const std::exception& e) {
-      std::cerr << "openmdd_serve: " << e.what() << "\n";
-      return 1;
-    }
-    std::unique_ptr<server::MetricsHttpServer> metrics;
-    if (metrics_port) {
-      try {
-        metrics = std::make_unique<server::MetricsHttpServer>(
-            *metrics_port, std::cerr, nullptr,
-            [&router] { return router.prometheus_text(); });
-      } catch (const std::exception& e) {
-        std::cerr << "openmdd_serve: " << e.what() << "\n";
-        return 1;
-      }
-    }
-    return router.serve_tcp(port);
   }
 
   std::unique_ptr<server::DiagnosisService> service;
@@ -292,7 +195,6 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (!uds_path.empty()) return server::serve_uds(*service, uds_path, std::cerr);
   if (use_tcp) return server::serve_tcp(*service, port, std::cerr);
   return server::serve_stdio(*service, std::cin, std::cout);
 }
