@@ -15,8 +15,8 @@
 // Both loops understand {"op":"shutdown"}: drain outstanding work,
 // acknowledge, and return. `ping` is answered on the reader thread, ahead
 // of the queue, so it probes liveness for an external supervisor. The
-// blocking TCP client (TcpLineClient) is used by openmdd_loadgen,
-// perfbench, and the smoke tests.
+// blocking TCP client (TcpLineClient) is used by perfbench and the
+// smoke tests.
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,5 @@
 #include "workload/loadgen.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "workload/textio.hpp"
@@ -44,28 +42,6 @@ std::vector<LoadgenCase> make_corpus(const Netlist& netlist,
     corpus.push_back(std::move(lc));
   }
   return corpus;
-}
-
-LatencySummary summarize_latencies(std::vector<double> latencies_ms) {
-  LatencySummary s;
-  s.n = latencies_ms.size();
-  if (s.n == 0) return s;
-  std::sort(latencies_ms.begin(), latencies_ms.end());
-  double sum = 0.0;
-  for (const double v : latencies_ms) sum += v;
-  s.mean_ms = sum / static_cast<double>(s.n);
-  // Nearest-rank: the smallest value with at least q*n observations at or
-  // below it.
-  const auto rank = [&](double q) {
-    const std::size_t r = static_cast<std::size_t>(
-        std::ceil(q * static_cast<double>(s.n)));
-    return latencies_ms[std::min(s.n - 1, r == 0 ? 0 : r - 1)];
-  };
-  s.p50_ms = rank(0.50);
-  s.p95_ms = rank(0.95);
-  s.p99_ms = rank(0.99);
-  s.max_ms = latencies_ms.back();
-  return s;
 }
 
 }  // namespace mdd

@@ -1,12 +1,12 @@
-// openmdd — serving-load corpus generation and latency accounting.
+// openmdd — sampled-defect datalog corpora.
 //
-// The load generator replays realistic tester datalogs against the
-// diagnosis daemon. This module produces those datalogs the same way the
-// campaign driver does — sample a defect multiplet, simulate the
-// composite machine, truncate like an ATE — with the campaign's
-// decorrelated per-case seeding, so a corpus is reproducible from
-// (circuit, seed, n_cases) alone. It also carries the latency quantile
-// math the tools print as p50/p95/p99 tables.
+// Produces realistic tester datalogs the same way the campaign driver
+// does — sample a defect multiplet, simulate the composite machine,
+// truncate like an ATE — with the campaign's decorrelated per-case
+// seeding, so a corpus is reproducible from (circuit, seed, n_cases)
+// alone and a smaller draw with the same seed is a prefix of a larger one.
+// `openmdd corpus` writes one to disk; perfbench and the perf benches
+// draw theirs in process.
 #pragma once
 
 #include <cstdint>
@@ -41,17 +41,5 @@ std::vector<LoadgenCase> make_corpus(const Netlist& netlist,
                                      const PatternSet& patterns,
                                      const PatternSet& good,
                                      const CorpusConfig& config);
-
-struct LatencySummary {
-  std::size_t n = 0;
-  double mean_ms = 0.0;
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-  double p99_ms = 0.0;
-  double max_ms = 0.0;
-};
-
-/// Nearest-rank quantiles over per-request latencies (ms).
-LatencySummary summarize_latencies(std::vector<double> latencies_ms);
 
 }  // namespace mdd

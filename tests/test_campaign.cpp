@@ -1,8 +1,12 @@
-// Unit tests: defect sampling and the campaign driver.
+// Unit tests: defect sampling, the campaign driver and datalog corpora.
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 #include "workload/campaign.hpp"
 #include "workload/circuits.hpp"
+#include "workload/loadgen.hpp"
+#include "workload/textio.hpp"
 
 namespace mdd {
 namespace {
@@ -97,6 +101,46 @@ TEST_F(CampaignFixture, SamplingDeterministicInSeed) {
   const auto b = sample_defect(circuit_->netlist, *fsim_, cfg, rng2);
   ASSERT_TRUE(a.has_value() && b.has_value());
   EXPECT_EQ(*a, *b);
+}
+
+// The seeding contract behind `openmdd corpus` and perfbench: a corpus is
+// a function of (circuit, seed, n_cases), a smaller draw is a prefix of a
+// larger one (per-case splitmix seeds), and every datalog reads back to
+// the observed signature of the case's defect.
+TEST_F(CampaignFixture, CorpusDeterministicPrefixStableAndReadable) {
+  const Netlist& nl = circuit_->netlist;
+  const PatternSet& patterns = circuit_->patterns;
+  const PatternSet good = simulate(nl, patterns);
+  CorpusConfig config;
+  config.seed = 7;
+  config.n_cases = 25;
+  const std::vector<LoadgenCase> big = make_corpus(nl, patterns, good, config);
+  const std::vector<LoadgenCase> again =
+      make_corpus(nl, patterns, good, config);
+  config.n_cases = 8;
+  const std::vector<LoadgenCase> small =
+      make_corpus(nl, patterns, good, config);
+  ASSERT_EQ(big.size(), 25u);
+  ASSERT_EQ(small.size(), 8u);
+
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    EXPECT_EQ(big[i].defect, again[i].defect) << "case " << i;
+    EXPECT_EQ(big[i].datalog_text, again[i].datalog_text) << "case " << i;
+  }
+  for (std::size_t i = 0; i < small.size(); ++i) {
+    EXPECT_EQ(big[i].defect, small[i].defect) << "case " << i;
+    EXPECT_EQ(big[i].datalog_text, small[i].datalog_text) << "case " << i;
+  }
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    const Datalog expected =
+        datalog_from_defect(nl, big[i].defect, patterns, good, {});
+    std::istringstream in(big[i].datalog_text);
+    const Datalog read = read_datalog(in, nl);
+    EXPECT_EQ(read.observed, expected.observed) << "case " << i;
+    EXPECT_EQ(read.observed.n_failing_patterns(), big[i].n_failing_patterns)
+        << "case " << i;
+    EXPECT_TRUE(read.has_failures()) << "case " << i;
+  }
 }
 
 TEST_F(CampaignFixture, RunCampaignAggregates) {

@@ -9,6 +9,7 @@
 //                    [--method multiplet|slat|single|all] [--threads N]
 //   openmdd diagnose <netlist> --patterns f --batch <dir|list-file>
 //                    [--store-dir d] [--threads N] [--format text|json]
+//   openmdd corpus   <circuit> -o dir [--cases N] [--seed N]
 //
 // --batch switches diagnose into volume mode: every *.datalog in the
 // directory (or every path listed in the file, one per line) is
@@ -17,6 +18,11 @@
 // (systematic vs. random, net hit counts) is appended. Per-datalog
 // reports are byte-identical to running `diagnose --datalog` once per
 // file.
+//
+// corpus writes a registry circuit (dir/<circuit>.bench), its pattern set
+// (dir/<circuit>.patterns) and a seed-deterministic corpus of sampled-
+// defect datalogs (dir/case_<i>.datalog), reproducible from (circuit,
+// seed, cases) alone; see mdd::make_corpus in src/workload/loadgen.hpp.
 //
 // --threads N (or the MDD_THREADS environment variable; 0 = all cores)
 // pre-fills the candidate solo-signature cache candidate-parallel before
@@ -53,6 +59,8 @@
 #include "store/reader.hpp"
 #include "store/refresh.hpp"
 #include "store/writer.hpp"
+#include "workload/circuits.hpp"
+#include "workload/loadgen.hpp"
 #include "workload/textio.hpp"
 
 namespace {
@@ -76,6 +84,7 @@ int usage() {
          " <dir|list-file> [--store-dir <d>]\n"
          "                   [--method M] [--threads N]"
          " [--format text|json]\n"
+         "  openmdd corpus   <circuit> -o <dir> [--cases N] [--seed N]\n"
          "  openmdd dict build   <netlist> --patterns <f> --store-dir <dir>"
          " [--bridges N] [--bridge-seed N]\n"
          "                       [--no-bridges] [--no-wired] [--threads N]"
@@ -139,7 +148,7 @@ Args parse_args(int argc, char** argv, int first) {
       "--seed",      "--method",   "--max-failing", "--threads",
       "--format",    "--deadline-ms", "--kernel",  "--store-dir",
       "--bridges",   "--bridge-seed", "--sample",  "--netlist",
-      "--batch"};
+      "--batch",     "--cases"};
   static const char* kFlags[] = {"--no-compact", "--no-bridges",
                                  "--no-wired", "--force", "--from-journal"};
   for (int i = first; i < argc; ++i) {
@@ -450,6 +459,48 @@ int cmd_diagnose(const Args& args) {
   return 0;
 }
 
+/// `corpus`: a registry circuit, its pattern set and a sampled-defect
+/// datalog corpus, all written into one directory.
+int cmd_corpus(const Args& args) {
+  const std::string circuit = args.positional.at(0);
+  const std::string dir = args.option("-o");
+  if (dir.empty()) throw std::runtime_error("corpus: missing -o");
+  CorpusConfig config;
+  config.n_cases = parse_count(
+      args.option("--cases", std::to_string(config.n_cases)), "--cases");
+  config.seed = parse_count(
+      args.option("--seed", std::to_string(config.seed)), "--seed");
+
+  const BenchCircuit bench = load_bench_circuit(circuit);
+  const std::vector<LoadgenCase> corpus =
+      make_corpus(bench.netlist, bench.patterns,
+                  simulate(bench.netlist, bench.patterns), config);
+  if (corpus.empty())
+    throw std::runtime_error("corpus is empty (defect sampling failed "
+                             "for every case; try a larger circuit)");
+
+  const std::filesystem::path out(dir);
+  std::filesystem::create_directories(out);
+  const std::string base = (out / circuit).string();
+  {
+    std::ofstream os(base + ".bench");
+    if (!os) throw std::runtime_error("cannot write " + base + ".bench");
+    write_bench(os, bench.netlist);
+  }
+  write_patterns_file(base + ".patterns", bench.patterns);
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const std::string path =
+        (out / ("case_" + std::to_string(i) + ".datalog")).string();
+    std::ofstream os(path);
+    if (!os) throw std::runtime_error("cannot write " + path);
+    os << corpus[i].datalog_text;
+  }
+  std::cout << "wrote " << base << ".bench, " << base << ".patterns and "
+            << corpus.size() << " datalogs (" << bench.patterns.n_patterns()
+            << " patterns, seed " << config.seed << ")\n";
+  return 0;
+}
+
 /// Prints a fold result (`dict refresh`, `dict build --from-journal`).
 void print_refresh_stats(const store::RefreshStats& stats) {
   std::cout << "offered:    " << stats.n_offered << " journaled fault(s)\n"
@@ -685,6 +736,7 @@ int main(int argc, char** argv) {
     if (cmd == "atpg") return cmd_atpg(args);
     if (cmd == "inject") return cmd_inject(args);
     if (cmd == "diagnose") return cmd_diagnose(args);
+    if (cmd == "corpus") return cmd_corpus(args);
     if (cmd == "dict") return cmd_dict(args);
     return usage();
   } catch (const std::exception& e) {
