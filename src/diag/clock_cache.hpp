@@ -1,8 +1,8 @@
 // openmdd — the bounded memory tier shared by the session memos.
 //
 // `SignatureMemo`, `TraceMemo` and `CompositeMemo` each keep a byte-bounded
-// key → value map in front of whatever they fall back on (a store tier,
-// a spill, or recomputation). `ClockCache` is that map: an index plus a
+// key → value map in front of whatever they fall back on (a store tier
+// or recomputation). `ClockCache` is that map: an index plus a
 // second-chance (clock) ring. A lookup marks its entry referenced; an
 // insert that would exceed the budget sweeps the clock hand, clearing
 // referenced bits and evicting cold entries until the newcomer fits. Hot

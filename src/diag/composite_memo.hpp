@@ -10,13 +10,13 @@
 // distinct composite is propagated once.
 //
 // Signatures are stored pre-masking (full-window truth); callers subtract
-// their context's masked bits after lookup. The memory tier is a
-// `ClockCache` (second-chance eviction, exact byte accounting); this class
-// adds the `.cspill` disk tier. Thread-safe.
+// their context's masked bits after lookup. The memo is a mutex around a
+// `ClockCache` (second-chance eviction, exact byte accounting) with no
+// tier behind it: an evicted composite is re-propagated, because a disk
+// tier measured no cheaper than that (DESIGN.md §14). Thread-safe.
 #pragma once
 
 #include <algorithm>
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -25,7 +25,6 @@
 #include "diag/clock_cache.hpp"
 #include "fault/fault.hpp"
 #include "fsim/fsim.hpp"
-#include "store/spill.hpp"
 
 namespace mdd {
 
@@ -63,21 +62,6 @@ struct CompositeKeyHash {
   }
 };
 
-struct CompositeMemoStats : CacheStats {
-  /// Disk-tier traffic (zero unless a spill is attached). A spill hit is
-  /// NOT a miss: the composite was served without propagation, just from
-  /// disk instead of the heap.
-  std::uint64_t spill_hits = 0;
-  std::uint64_t spill_misses = 0;
-
-  CompositeMemoStats& operator+=(const CompositeMemoStats& o) {
-    CacheStats::operator+=(o);
-    spill_hits += o.spill_hits;
-    spill_misses += o.spill_misses;
-    return *this;
-  }
-};
-
 class CompositeMemo {
  public:
   /// `max_bytes` bounds the memo's approximate footprint; stores beyond
@@ -89,24 +73,13 @@ class CompositeMemo {
   void store(const CompositeKey& key,
              std::shared_ptr<const ErrorSignature> sig);
 
-  /// Attaches the disk tier: lookups that miss memory consult the spill
-  /// (promoting hits back into the memory tier), and stores write through
-  /// to it, so multiplet composites survive eviction AND restarts — the
-  /// same memory → disk → compute ladder the SignatureMemo has. The spill
-  /// is fail-open by construction; the memo never observes its errors.
-  void set_spill(std::shared_ptr<store::CompositeSpill> spill);
-  std::shared_ptr<store::CompositeSpill> spill() const;
-
-  CompositeMemoStats stats() const;
+  CacheStats stats() const;
 
  private:
   mutable std::mutex mutex_;
   ClockCache<CompositeKey, std::shared_ptr<const ErrorSignature>,
              CompositeKeyHash>
       cache_;
-  std::shared_ptr<store::CompositeSpill> spill_;  ///< disk tier, may be null
-  std::uint64_t spill_hits_ = 0;
-  std::uint64_t spill_misses_ = 0;
 };
 
 }  // namespace mdd

@@ -6,6 +6,7 @@
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/version.hpp"
@@ -579,10 +580,19 @@ Json DiagnosisService::handle_diagnose_batch(const Json& request,
     return error_response(request, "diagnose_batch: no datalogs given");
 
   const bool stream = emit != nullptr && request.get_bool("stream");
+  // A request may ask for fewer or more threads than the configured
+  // default, but never for more than the default or the host's cores,
+  // whichever is larger: the client does not size the daemon's threads.
+  const std::size_t default_threads = options_.batch_threads != 0
+                                          ? options_.batch_threads
+                                          : options_.n_workers;
+  const std::size_t max_threads = std::max<std::size_t>(
+      default_threads, std::thread::hardware_concurrency());
+  const double asked = request.get_number("threads");
   std::size_t threads =
-      static_cast<std::size_t>(std::max(0.0, request.get_number("threads")));
-  if (threads == 0) threads = options_.batch_threads;
-  if (threads == 0) threads = options_.n_workers;
+      asked >= 1 ? static_cast<std::size_t>(
+                       std::min(asked, static_cast<double>(max_threads)))
+                 : default_threads;
   threads = std::clamp<std::size_t>(threads, 1, inputs.size());
   parse_span.close();
 
@@ -665,15 +675,19 @@ Json DiagnosisService::handle_diagnose_batch(const Json& request,
 
   // The batch occupies ONE queue worker; datalog-level parallelism runs
   // on private threads (the pool's nested-region guard would serialize
-  // a parallel_for issued from inside a pool worker).
-  if (threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> group;
-    group.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) group.emplace_back(worker);
-    for (std::thread& t : group) t.join();
+  // a parallel_for issued from inside a pool worker). A thread that fails
+  // to start is not an error: the ones already running take its items.
+  std::vector<std::thread> group;
+  if (threads > 1) {
+    try {
+      group.reserve(threads);
+      while (group.size() < threads) group.emplace_back(worker);
+    } catch (const std::exception&) {
+    }
   }
+  threads = std::max<std::size_t>(group.size(), 1);
+  if (group.empty()) worker();
+  for (std::thread& t : group) t.join();
   diagnose_span.close();
   const double t_diagnose = ms_since(t1);
 
@@ -840,10 +854,7 @@ Json DiagnosisService::stats_json() const {
   signature.set("store_misses", ls.signature.store_misses);
   memos.set("signature", std::move(signature));
   memos.set("trace", memo_json(ls.traces));
-  Json composite = memo_json(ls.composites);
-  composite.set("spill_hits", ls.composites.spill_hits);
-  composite.set("spill_misses", ls.composites.spill_misses);
-  memos.set("composite", std::move(composite));
+  memos.set("composite", memo_json(ls.composites));
   s.set("memos", std::move(memos));
 
   Json store;
@@ -862,11 +873,6 @@ Json DiagnosisService::stats_json() const {
   journal.set("sessions", ls.journal_sessions);
   journal.set("pending", ls.journal_pending);
   store.set("journal", std::move(journal));
-  Json spill;
-  spill.set("sessions", ls.spill_sessions);
-  spill.set("entries", ls.spill_entries);
-  spill.set("bytes", ls.spill_bytes);
-  store.set("spill", std::move(spill));
   s.set("store", std::move(store));
   return s;
 }

@@ -111,8 +111,8 @@ struct ServiceOptions {
   /// batch occupies a single queue worker and spawns its own threads —
   /// the pool's nested-parallelism guard would serialize parallel_for —
   /// so this is independent of n_workers. 0 = use n_workers. A request's
-  /// own "threads" field overrides this per batch (clamped to the batch
-  /// size).
+  /// own "threads" field overrides this per batch, clamped to the batch
+  /// size and to max(this default, hardware threads).
   std::size_t batch_threads = 0;
   /// Background store refresh (`openmdd_serve --store-refresh N`): when a
   /// resident session's store-miss journal accumulates at least N

@@ -38,11 +38,6 @@ SessionMetrics& session_metrics() {
   return m;
 }
 
-/// The spill file may grow past the composite memo's RAM budget by this
-/// factor before further puts are declined — disk is cheap relative to
-/// re-propagating a multiplet, but not unbounded.
-constexpr std::size_t kSpillDiskFactor = 4;
-
 bool ends_with(const std::string& s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
@@ -109,22 +104,16 @@ std::shared_ptr<const Session> load_session(const std::string& netlist_path,
       try_attach_store(store_dir, session->netlist, session->patterns);
   if (session->dict != nullptr) session->memo->set_store(session->dict);
   if (!store_dir.empty()) {
-    // Journal + spill sidecars exist whenever a store directory does —
-    // also when the .mdds itself is still absent, so the very first
-    // served pass already feeds the first `dict refresh`. Both are
-    // fail-open: any problem detaches them, the session loads fine.
-    const std::uint64_t nh = store::netlist_content_hash(session->netlist);
-    const std::uint64_t ph = store::patterns_content_hash(session->patterns);
+    // The journal sidecar exists whenever a store directory does — also
+    // when the .mdds itself is still absent, so the very first served pass
+    // already feeds the first `dict refresh`. It is fail-open: any problem
+    // detaches it, the session loads fine.
     session->journal = std::make_shared<store::FaultJournal>(
         store::journal_path_for(store_dir, session->netlist,
                                 session->patterns),
-        nh, ph);
+        store::netlist_content_hash(session->netlist),
+        store::patterns_content_hash(session->patterns));
     session->memo->set_journal(session->journal);
-    session->spill = std::make_shared<store::CompositeSpill>(
-        store::spill_path_for(store_dir, session->netlist, session->patterns),
-        nh, ph, session->patterns.n_patterns(), session->netlist.n_outputs(),
-        composite_bytes * kSpillDiskFactor);
-    session->composites->set_spill(session->spill);
   }
   session->approx_bytes = approx_session_bytes(*session);
   return session;
@@ -317,12 +306,6 @@ MemoLayerStats SessionCache::layer_stats() const {
     if (session->journal != nullptr && !session->journal->detached()) {
       ++out.journal_sessions;
       out.journal_pending += session->journal->pending();
-    }
-    if (session->spill != nullptr && !session->spill->detached()) {
-      const store::SpillStats s = session->spill->stats();
-      ++out.spill_sessions;
-      out.spill_entries += s.entries;
-      out.spill_bytes += s.bytes;
     }
   }
   return out;

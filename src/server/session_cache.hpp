@@ -62,9 +62,6 @@ struct Session {
   /// cache has a store directory; wired into `memo` so every simulated
   /// signature is recorded for the next refresh. Fail-open.
   std::shared_ptr<store::FaultJournal> journal;
-  /// Composite-signature disk tier, present iff the cache has a store
-  /// directory; wired into `composites`. Fail-open.
-  std::shared_ptr<store::CompositeSpill> spill;
   std::size_t approx_bytes = 0;
 };
 
@@ -86,15 +83,12 @@ struct SessionCacheStats {
 struct MemoLayerStats {
   SignatureMemoStats signature;
   CacheStats traces;
-  CompositeMemoStats composites;
+  CacheStats composites;
   std::size_t store_sessions = 0;  ///< resident sessions with a store
   std::size_t store_entries = 0;   ///< summed store fault records
   std::size_t store_bytes_mapped = 0;
   std::size_t journal_sessions = 0;  ///< sessions with a live journal
   std::size_t journal_pending = 0;   ///< summed unfolded journal faults
-  std::size_t spill_sessions = 0;    ///< sessions with a live spill
-  std::size_t spill_entries = 0;     ///< summed spilled composites
-  std::size_t spill_bytes = 0;       ///< summed spill file bytes
 };
 
 class SessionCache {

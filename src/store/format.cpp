@@ -76,11 +76,6 @@ std::string journal_path_for(const std::string& dir, const Netlist& netlist,
   return sidecar_path(dir, netlist, patterns, kJournalExtension);
 }
 
-std::string spill_path_for(const std::string& dir, const Netlist& netlist,
-                           const PatternSet& patterns) {
-  return sidecar_path(dir, netlist, patterns, kSpillExtension);
-}
-
 std::size_t encode_postings(const ErrorSignature& sig,
                             std::uint64_t n_outputs,
                             std::vector<std::uint8_t>& out) {

@@ -52,9 +52,6 @@ inline constexpr const char* kStoreExtension = ".mdds";
 /// Sidecar of a store: the append-only journal of store-missed faults the
 /// serving layer simulated (workload-learned universe; store/journal.hpp).
 inline constexpr const char* kJournalExtension = ".journal";
-/// Sidecar of a store: the composite-signature spill tier
-/// (store/spill.hpp), so evicted multiplet composites survive restarts.
-inline constexpr const char* kSpillExtension = ".cspill";
 
 /// Decoded fixed-size header. On disk the fields follow the magic at the
 /// offsets documented inline (write_header/read_header are the codec).
@@ -165,7 +162,7 @@ std::string store_path_for(const std::string& dir, const Netlist& netlist,
                            const PatternSet& patterns);
 
 /// "<netlist_hash>-<patterns_hash><extension>" — the naming scheme shared
-/// by the store file and its sidecars (journal, composite spill).
+/// by the store file and its journal sidecar.
 std::string sidecar_file_name(std::uint64_t netlist_hash,
                               std::uint64_t patterns_hash,
                               std::string_view extension);
@@ -174,16 +171,11 @@ std::string sidecar_file_name(std::uint64_t netlist_hash,
 std::string journal_path_for(const std::string& dir, const Netlist& netlist,
                              const PatternSet& patterns);
 
-/// Full path of the composite spill for (netlist, patterns) in `dir`.
-std::string spill_path_for(const std::string& dir, const Netlist& netlist,
-                           const PatternSet& patterns);
-
 // ---- posting-list codec --------------------------------------------------
 
 /// Delta-varint encodes the sorted global bit positions of `sig`
 /// (`pattern * n_outputs + po`) into `out`; returns the number of
-/// positions written. Shared by the store writer, the refresh fold, and
-/// the composite spill tier.
+/// positions written. Shared by the store writer and the refresh fold.
 std::size_t encode_postings(const ErrorSignature& sig,
                             std::uint64_t n_outputs,
                             std::vector<std::uint8_t>& out);

@@ -1,14 +1,25 @@
-// Unit tests: diagnosis context, scoring, and the three diagnosers on
-// controlled cases.
+// Unit tests: diagnosis context, scoring, the three diagnosers on
+// controlled cases, and metamorphic checks (input transformations that
+// must leave every report unchanged).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "diag/metrics.hpp"
 #include "diag/multiplet.hpp"
 #include "diag/single_fault.hpp"
 #include "diag/slat.hpp"
+#include "netlist/bench_parser.hpp"
 #include "netlist/generator.hpp"
+#include "netlist/verilog_parser.hpp"
+#include "server/result_json.hpp"
+#include "workload/circuits.hpp"
+#include "workload/loadgen.hpp"
+#include "workload/textio.hpp"
 
 namespace mdd {
 namespace {
@@ -332,6 +343,110 @@ TEST(Metrics, AlternatesCountAsHits) {
   const std::vector<Fault> injected{Fault::stem_sa(nl.find_net("16"), false)};
   const TruthEvaluation ev = evaluate_against_truth(report, injected, cf);
   EXPECT_TRUE(ev.all_hit);
+}
+
+/// The `--method all` JSON reports of one datalog text, exactly as
+/// `openmdd diagnose --format json` and the daemon serialize them.
+std::string all_reports_json(const Netlist& netlist,
+                             const PatternSet& patterns,
+                             const std::string& datalog_text) {
+  std::istringstream in(datalog_text);
+  const Datalog log = read_datalog(in, netlist);
+  DiagnosisContext ctx(netlist, patterns, log);
+  std::vector<DiagnosisReport> reports;
+  reports.push_back(diagnose_multiplet(ctx));
+  reports.push_back(diagnose_slat(ctx));
+  reports.push_back(diagnose_single_fault(ctx));
+  return server::reports_to_json(reports, netlist).dump();
+}
+
+/// Rewrites every `fail <pattern> : <po>...` line of a datalog text with
+/// `edit(fail_lines)`, leaving the other lines where they are.
+template <typename Edit>
+std::string edit_fail_lines(const std::string& text, Edit edit) {
+  std::vector<std::string> lines, fails;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    lines.push_back(line);
+    if (line.rfind("fail ", 0) == 0) fails.push_back(line);
+  }
+  edit(fails);
+  std::string out;
+  std::size_t next_fail = 0;
+  for (const std::string& line : lines)
+    out += (line.rfind("fail ", 0) == 0 ? fails[next_fail++] : line) + "\n";
+  return out;
+}
+
+/// `openmdd corpus g200 --seed 7`, case 0 (a sampled multiplet), read
+/// back through the written `.bench` as the CLI and the daemon read it,
+/// with its untransformed reports.
+struct MetamorphicCase {
+  LoadgenCase logged;
+  Netlist netlist;
+  PatternSet patterns;
+  std::string reference;
+};
+
+const MetamorphicCase& metamorphic_case() {
+  static const MetamorphicCase c = [] {
+    const BenchCircuit bench = load_bench_circuit("g200");
+    CorpusConfig config;
+    config.n_cases = 1;
+    config.seed = 7;
+    MetamorphicCase out{
+        make_corpus(bench.netlist, bench.patterns,
+                    simulate(bench.netlist, bench.patterns), config)
+            .at(0),
+        parse_bench_string(write_bench_string(bench.netlist)).netlist,
+        bench.patterns, {}};
+    out.reference =
+        all_reports_json(out.netlist, out.patterns, out.logged.datalog_text);
+    return out;
+  }();
+  return c;
+}
+
+TEST(Metamorphic, FailLineOrderDoesNotChangeReports) {
+  const MetamorphicCase& c = metamorphic_case();
+  ASSERT_GE(c.logged.defect.size(), 2u) << "the case must be a multiplet";
+  ASSERT_GE(c.logged.n_failing_patterns, 2u);
+  const std::string shuffled =
+      edit_fail_lines(c.logged.datalog_text, [](std::vector<std::string>& v) {
+        std::mt19937 rng(7);
+        const std::vector<std::string> before = v;
+        while (v == before) std::shuffle(v.begin(), v.end(), rng);
+      });
+  EXPECT_EQ(all_reports_json(c.netlist, c.patterns, shuffled), c.reference);
+}
+
+TEST(Metamorphic, OutputOrderWithinAFailLineDoesNotChangeReports) {
+  const MetamorphicCase& c = metamorphic_case();
+  const std::string reversed =
+      edit_fail_lines(c.logged.datalog_text, [](std::vector<std::string>& v) {
+        for (std::string& line : v) {
+          const std::size_t colon = line.find(" : ");
+          ASSERT_NE(colon, std::string::npos) << line;
+          std::istringstream pos(line.substr(colon + 3));
+          std::vector<std::string> names;
+          for (std::string po; pos >> po;) names.push_back(po);
+          line.resize(colon + 2);
+          for (auto it = names.rbegin(); it != names.rend(); ++it)
+            line += " " + *it;
+        }
+      });
+  ASSERT_NE(reversed, c.logged.datalog_text)
+      << "the case needs a fail line with two or more outputs";
+  EXPECT_EQ(all_reports_json(c.netlist, c.patterns, reversed), c.reference);
+}
+
+TEST(Metamorphic, VerilogRoundTripOfTheBenchNetlistDoesNotChangeReports) {
+  const MetamorphicCase& c = metamorphic_case();
+  const CellLibrary lib;
+  const Netlist from_verilog =
+      parse_verilog_string(write_verilog_string(c.netlist), lib).netlist;
+  EXPECT_EQ(all_reports_json(from_verilog, c.patterns, c.logged.datalog_text),
+            c.reference);
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
 // Workload-learned store growth: the store-miss journal (append, dedup,
 // compact, hostile files), the refresh fold (byte-carry-over merge,
-// rebuild-from-absent, journal reset), the composite spill (round trips,
-// torn tails, identity checks, mid-flight corruption), and the
-// CompositeMemo's memory → spill → compute ladder. Every hostile-input
-// case must fail OPEN: sidecars are optimizations, never dependencies.
+// rebuild-from-absent, journal reset) and the refresh lock. Every
+// hostile-input case must fail OPEN: the journal is an optimization,
+// never a dependency.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,14 +13,11 @@
 #include <thread>
 #include <vector>
 
-#include "diag/composite_memo.hpp"
 #include "fsim/fsim.hpp"
 #include "netlist/generator.hpp"
-#include "obs/metrics.hpp"
 #include "store/journal.hpp"
 #include "store/reader.hpp"
 #include "store/refresh.hpp"
-#include "store/spill.hpp"
 #include "store/writer.hpp"
 
 namespace mdd::store {
@@ -61,9 +57,6 @@ struct LearnedFixture {
   }
   std::string journal_path() const {
     return journal_path_for(dir, netlist, patterns);
-  }
-  std::string spill_path() const {
-    return spill_path_for(dir, netlist, patterns);
   }
 
   /// Dominant bridges between valid nets — the kind of candidate the
@@ -269,17 +262,6 @@ TEST(Refresh, RebuildsFromDefaultUniverseWhenStoreAbsent) {
   for (const Fault& x : learned) EXPECT_TRUE(dict->find(x).has_value());
 }
 
-/// A fault of the fixture circuit whose solo signature is non-empty —
-/// spill round trips should exercise real postings, not the empty case.
-Fault detected_fault(const LearnedFixture& f, FaultSimulator& fsim) {
-  for (NetId n = 0; n < f.netlist.n_nets(); ++n) {
-    const Fault candidate = Fault::stem_sa(n, false);
-    if (!fsim.signature(candidate).empty()) return candidate;
-  }
-  ADD_FAILURE() << "no detectable fault in the fixture circuit";
-  return Fault::stem_sa(0, false);
-}
-
 TEST(RefreshLock, SecondAcquirerSeesBusyUntilRelease) {
   const std::string lock_path =
       ::testing::TempDir() + "refresh_lock_excl.lock";
@@ -379,206 +361,6 @@ TEST(RefreshLock, SerializedFoldsLoseNoFaults) {
     EXPECT_TRUE(dict->find(x).has_value()) << "worker A's fold was lost";
   for (const Fault& x : set_b)
     EXPECT_TRUE(dict->find(x).has_value()) << "worker B's fold was lost";
-}
-
-TEST(Spill, PutGetRoundTripsAcrossReopen) {
-  const LearnedFixture f = LearnedFixture::make("spill", false);
-  FaultSimulator fsim(f.netlist, f.patterns);
-  const Fault seed = detected_fault(f, fsim);
-  const std::vector<Fault> members{seed, Fault::stem_sa(seed.net, true)};
-  const ErrorSignature sig = fsim.signature(seed);
-  const std::vector<Fault> other{seed};
-  const ErrorSignature empty(f.patterns.n_patterns(), f.netlist.n_outputs());
-  const std::size_t window = f.patterns.n_patterns();
-  {
-    CompositeSpill spill(f.spill_path(), f.nh, f.ph, f.patterns.n_patterns(),
-                         f.netlist.n_outputs(), 0);
-    ASSERT_FALSE(spill.detached());
-    EXPECT_FALSE(spill.get(members, window).has_value());
-    spill.put(members, window, sig);
-    spill.put(other, window, empty);  // undetected composites store too
-    const auto got = spill.get(members, window);
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(*got, sig);
-
-    spill.put(members, window, sig);  // duplicate key: declined, not grown
-    const SpillStats s = spill.stats();
-    EXPECT_EQ(s.writes, 2u);
-    EXPECT_EQ(s.declined, 1u);
-    EXPECT_EQ(s.entries, 2u);
-    EXPECT_EQ(s.hits, 1u);
-    EXPECT_EQ(s.misses, 1u);
-  }
-  // Reopen (a restart): the scan re-indexes both records byte-for-byte.
-  CompositeSpill again(f.spill_path(), f.nh, f.ph, f.patterns.n_patterns(),
-                       f.netlist.n_outputs(), 0);
-  EXPECT_EQ(again.stats().entries, 2u);
-  EXPECT_EQ(again.stats().dropped, 0u);
-  const auto a = again.get(members, window);
-  const auto b = again.get(other, window);
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(*a, sig);
-  EXPECT_EQ(*b, empty);
-  EXPECT_TRUE(b->empty());
-}
-
-TEST(Spill, TornTailIsTruncatedAndEarlierRecordsStillServe) {
-  const LearnedFixture f = LearnedFixture::make("spill_torn", false);
-  FaultSimulator fsim(f.netlist, f.patterns);
-  const Fault seed = detected_fault(f, fsim);
-  const std::vector<Fault> members{seed};
-  const ErrorSignature sig = fsim.signature(seed);
-  const std::size_t window = f.patterns.n_patterns();
-  {
-    CompositeSpill spill(f.spill_path(), f.nh, f.ph, f.patterns.n_patterns(),
-                         f.netlist.n_outputs(), 0);
-    spill.put(members, window, sig);
-  }
-  const auto good_size = std::filesystem::file_size(f.spill_path());
-  {
-    // A crash mid-append: stray bytes after the last complete record.
-    std::ofstream out(f.spill_path(), std::ios::binary | std::ios::app);
-    out << "torn!";
-  }
-  CompositeSpill spill(f.spill_path(), f.nh, f.ph, f.patterns.n_patterns(),
-                       f.netlist.n_outputs(), 0);
-  ASSERT_FALSE(spill.detached());
-  EXPECT_EQ(spill.stats().dropped, 1u);
-  EXPECT_EQ(spill.stats().entries, 1u);
-  const auto got = spill.get(members, window);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, sig);
-  // The torn bytes are gone so the next append lands on a boundary.
-  EXPECT_EQ(std::filesystem::file_size(f.spill_path()), good_size);
-}
-
-TEST(Spill, WrongIdentityOrBadHeaderDetachesFailOpen) {
-  const LearnedFixture f = LearnedFixture::make("spill_id", false);
-  FaultSimulator fsim(f.netlist, f.patterns);
-  const Fault seed = detected_fault(f, fsim);
-  const std::vector<Fault> members{seed};
-  const ErrorSignature sig = fsim.signature(seed);
-  const std::size_t window = f.patterns.n_patterns();
-  {
-    CompositeSpill spill(f.spill_path(), f.nh, f.ph, f.patterns.n_patterns(),
-                         f.netlist.n_outputs(), 0);
-    spill.put(members, window, sig);
-  }
-  // Different netlist hash: a spill for some other circuit — detach, and
-  // every operation is a quiet no-op.
-  CompositeSpill wrong(f.spill_path(), f.nh + 1, f.ph,
-                       f.patterns.n_patterns(), f.netlist.n_outputs(), 0);
-  EXPECT_TRUE(wrong.detached());
-  EXPECT_FALSE(wrong.get(members, window).has_value());
-  wrong.put(members, window, sig);
-  EXPECT_EQ(wrong.stats().writes, 0u);
-
-  {
-    // Corrupt magic: the whole file is untrustworthy.
-    std::fstream file(f.spill_path(),
-                      std::ios::binary | std::ios::in | std::ios::out);
-    file.seekp(0);
-    file.put('X');
-  }
-  CompositeSpill corrupt(f.spill_path(), f.nh, f.ph, f.patterns.n_patterns(),
-                         f.netlist.n_outputs(), 0);
-  EXPECT_TRUE(corrupt.detached());
-}
-
-TEST(Spill, MidFlightCorruptionDetachesInsteadOfServingBadBits) {
-  const LearnedFixture f = LearnedFixture::make("spill_flip", false);
-  FaultSimulator fsim(f.netlist, f.patterns);
-  const Fault seed = detected_fault(f, fsim);
-  const std::vector<Fault> members{seed};
-  const ErrorSignature sig = fsim.signature(seed);
-  ASSERT_FALSE(sig.empty());
-  const std::size_t window = f.patterns.n_patterns();
-  CompositeSpill spill(f.spill_path(), f.nh, f.ph, f.patterns.n_patterns(),
-                       f.netlist.n_outputs(), 0);
-  spill.put(members, window, sig);
-  {
-    // The file changes under the open instance (posting byte flipped):
-    // the pread-side checksum must catch it.
-    std::fstream file(f.spill_path(),
-                      std::ios::binary | std::ios::in | std::ios::out);
-    file.seekp(-1, std::ios::end);
-    const char byte = static_cast<char>(file.peek() ^ 0x40);
-    file.seekp(-1, std::ios::end);
-    file.put(byte);
-  }
-  EXPECT_FALSE(spill.get(members, window).has_value());
-  EXPECT_TRUE(spill.detached());
-}
-
-TEST(CompositeMemoSpill, DiskTierServesAcrossMemoInstances) {
-  const LearnedFixture f = LearnedFixture::make("memo_spill", false);
-  FaultSimulator fsim(f.netlist, f.patterns);
-  const Fault seed = detected_fault(f, fsim);
-  const std::vector<Fault> members{seed, Fault::stem_sa(seed.net, true)};
-  const auto sig =
-      std::make_shared<const ErrorSignature>(fsim.signature(seed));
-  const CompositeKey key(members, f.patterns.n_patterns());
-
-  auto spill = std::make_shared<CompositeSpill>(
-      f.spill_path(), f.nh, f.ph, f.patterns.n_patterns(),
-      f.netlist.n_outputs(), 0);
-  {
-    CompositeMemo memo;
-    memo.set_spill(spill);
-    EXPECT_EQ(memo.lookup(key), nullptr);
-    EXPECT_EQ(memo.stats().spill_misses, 1u);
-    memo.store(key, sig);  // writes through to disk
-    EXPECT_NE(memo.lookup(key), nullptr);
-    EXPECT_EQ(memo.stats().hits, 1u);
-  }
-  EXPECT_EQ(spill->stats().writes, 1u);
-
-  // A fresh memo (restart, or the entry was evicted): the spill answers,
-  // the composite is never re-propagated, and the hit promotes back into
-  // the memory tier.
-  // The registry counts the answer the same way: perfbench derives its
-  // composite and spill hit ratios from these series.
-  obs::Counter& memo_hits = obs::registry().counter("memo.composite.hits");
-  obs::Counter& memo_misses = obs::registry().counter("memo.composite.misses");
-  obs::Counter& spill_hits = obs::registry().counter("store.spill_hits");
-  const std::uint64_t memo_hits_before = memo_hits.value();
-  const std::uint64_t memo_misses_before = memo_misses.value();
-  const std::uint64_t spill_hits_before = spill_hits.value();
-  CompositeMemo fresh;
-  fresh.set_spill(spill);
-  const auto from_disk = fresh.lookup(key);
-  ASSERT_NE(from_disk, nullptr);
-  EXPECT_EQ(*from_disk, *sig);
-  const CompositeMemoStats stats = fresh.stats();
-  EXPECT_EQ(stats.spill_hits, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 0u) << "a spill hit is a served lookup, not a miss";
-  EXPECT_EQ(memo_hits.value() - memo_hits_before, 1u);
-  EXPECT_EQ(memo_misses.value() - memo_misses_before, 0u);
-  EXPECT_EQ(spill_hits.value() - spill_hits_before, 1u);
-  const auto promoted = fresh.lookup(key);
-  EXPECT_EQ(promoted.get(), from_disk.get())
-      << "the second lookup must be the promoted in-memory object";
-}
-
-TEST(CompositeMemoSpill, DetachedSpillLeavesTheMemoFullyFunctional) {
-  const LearnedFixture f = LearnedFixture::make("memo_spill_detached", false);
-  std::ofstream(f.spill_path()) << "not a spill file";
-  auto spill = std::make_shared<CompositeSpill>(
-      f.spill_path(), f.nh, f.ph, f.patterns.n_patterns(),
-      f.netlist.n_outputs(), 0);
-  EXPECT_TRUE(spill->detached());
-
-  FaultSimulator fsim(f.netlist, f.patterns);
-  const Fault seed = detected_fault(f, fsim);
-  const CompositeKey key(std::vector<Fault>{seed}, f.patterns.n_patterns());
-  CompositeMemo memo;
-  memo.set_spill(spill);
-  EXPECT_EQ(memo.lookup(key), nullptr);
-  memo.store(key,
-             std::make_shared<const ErrorSignature>(fsim.signature(seed)));
-  EXPECT_NE(memo.lookup(key), nullptr) << "memory tier must keep working";
 }
 
 }  // namespace

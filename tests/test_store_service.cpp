@@ -360,8 +360,6 @@ TEST(StoreService, CorruptSidecarsFailOpenAndNeverFailADiagnosis) {
   const PatternSet repat = read_patterns_file(f.patterns_path);
   std::ofstream(store::journal_path_for(f.store_dir, reparsed, repat))
       << "mddj9 garbage header\n";
-  std::ofstream(store::spill_path_for(f.store_dir, reparsed, repat))
-      << "not a spill file";
 
   DiagnosisService plain;
   const Json reference = plain.handle(f.diagnose_request("multiplet"));
@@ -375,9 +373,7 @@ TEST(StoreService, CorruptSidecarsFailOpenAndNeverFailADiagnosis) {
 
   const auto& session = *stored.cache().get(f.netlist_path, f.patterns_path);
   ASSERT_NE(session.journal, nullptr);
-  ASSERT_NE(session.spill, nullptr);
   EXPECT_TRUE(session.journal->detached());
-  EXPECT_TRUE(session.spill->detached());
   const Json stats = stored.stats_json();
   const Json* store_stats = stats.find("store");
   ASSERT_NE(store_stats, nullptr);

@@ -7,6 +7,7 @@
 // binary because batches spawn their own worker threads).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <clocale>
 #include <filesystem>
 #include <fstream>
@@ -405,6 +406,35 @@ TEST(DiagnoseBatch, RepeatedDatalogsAmortizeAndStayIdentical) {
   EXPECT_GT(candidates, 0.0);
   EXPECT_LE(computes, candidates / 2.0)
       << "a 3x-repeated stream must hit the memo for most slots";
+}
+
+TEST(DiagnoseBatch, RequestedThreadsAreCappedByTheHost) {
+  // A client cannot size the daemon's threads: asking for one per item
+  // (or far more) yields at most max(default, hardware threads), and the
+  // batch is still byte-identical to sequential singles.
+  BatchFixture f = BatchFixture::make("thread_cap");
+  const std::vector<std::string> singles = sequential_single_reports(f);
+  const std::size_t cap =
+      std::max<std::size_t>(2, std::thread::hardware_concurrency());
+  const std::vector<std::string> originals = f.datalog_texts;
+  while (f.datalog_texts.size() <= cap)
+    f.datalog_texts.insert(f.datalog_texts.end(), originals.begin(),
+                           originals.end());
+
+  DiagnosisService service;
+  const Json response = service.handle(f.batch_request(100000));
+  ASSERT_EQ(response.get_string("status"), "ok") << response.dump();
+  const double threads = response.get_number("threads");
+  EXPECT_GE(threads, 1.0);
+  EXPECT_LE(threads, static_cast<double>(cap));
+  const JsonArray& results = response.find("results")->as_array();
+  ASSERT_EQ(results.size(), f.datalog_texts.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].get_string("status"), "ok");
+    EXPECT_EQ(results[i].find("reports")->dump(),
+              singles[i % singles.size()])
+        << "datalog " << i;
+  }
 }
 
 TEST(DiagnoseBatch, StreamedItemsArriveInOrderAndMatchInlineResults) {
