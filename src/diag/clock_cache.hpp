@@ -11,17 +11,16 @@
 // against the caller's cost function, and one entry larger than the whole
 // budget is declined outright.
 //
-// The cache owns its layer's counters — the `CacheStats` snapshot and the
-// registry series `<prefix>.{hits,misses,evictions,inserts,declined}`.
-// A lookup that misses counts nothing: the owning memo may still answer
-// from a lower tier, and then records the outcome with `record_hit` or
-// `record_miss`.
+// The cache's event counts live only in the registry, as the series
+// `<prefix>.{hits,misses,evictions,inserts,declined}`; `stats()` reports
+// levels (entries, bytes) only. A lookup that misses counts nothing: the
+// owning memo may still answer from a lower tier, and then records the
+// outcome with `record_hit` or `record_miss`.
 //
 // Not thread-safe: the owning memo serializes every call under its lock.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -32,19 +31,12 @@
 
 namespace mdd {
 
-/// One memory tier's traffic and footprint. Memos with a lower tier
-/// extend it with that tier's counters.
+/// One memory tier's footprint (its traffic is in the registry).
 struct CacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
   std::size_t entries = 0;
   std::size_t approx_bytes = 0;
 
   CacheStats& operator+=(const CacheStats& o) {
-    hits += o.hits;
-    misses += o.misses;
-    evictions += o.evictions;
     entries += o.entries;
     approx_bytes += o.approx_bytes;
     return *this;
@@ -78,14 +70,8 @@ class ClockCache {
   }
 
   /// A lookup the owner answered from outside this tier, or not at all.
-  void record_hit() {
-    ++hits_;
-    hits_metric_.inc();
-  }
-  void record_miss() {
-    ++misses_;
-    misses_metric_.inc();
-  }
+  void record_hit() { hits_metric_.inc(); }
+  void record_miss() { misses_metric_.inc(); }
 
   /// Admits `value` under `key`, evicting cold entries to make room. An
   /// entry over the whole budget is declined; a key already present keeps
@@ -104,9 +90,7 @@ class ClockCache {
     inserts_metric_.inc();
   }
 
-  CacheStats stats() const {
-    return CacheStats{hits_, misses_, evictions_, entries_.size(), bytes_};
-  }
+  CacheStats stats() const { return CacheStats{entries_.size(), bytes_}; }
 
  private:
   struct Entry {
@@ -137,7 +121,6 @@ class ClockCache {
       }
       bytes_ -= it->second.cost;
       entries_.erase(it);
-      ++evictions_;
       evictions_metric_.inc();
       ring_[hand_] = std::move(ring_.back());
       ring_.pop_back();
@@ -150,9 +133,6 @@ class ClockCache {
   std::vector<Key> ring_;  ///< clock order (swap-with-back on evict)
   std::size_t hand_ = 0;
   std::size_t bytes_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
   obs::Counter& hits_metric_;
   obs::Counter& misses_metric_;
   obs::Counter& evictions_metric_;

@@ -83,7 +83,6 @@ FaultDictionary::FaultDictionary(const Netlist& netlist,
   for (std::size_t i = 0; i < faults_.size(); ++i) {
     if (auto idx = reader.find(faults_[i])) {
       signatures_.push_back(reader.decode(*idx));
-      ++store_hits_;
     } else {
       if (!fsim.has_value()) fsim.emplace(netlist, patterns);
       signatures_.push_back(fsim->signature(faults_[i]));

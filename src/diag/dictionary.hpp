@@ -63,9 +63,6 @@ class FaultDictionary {
   double build_seconds() const { return build_seconds_; }
   /// Total stored error bits (storage-cost proxy).
   std::size_t stored_bits() const { return stored_bits_; }
-  /// Entries decoded from a persistent store (from-store builds only;
-  /// n_entries() - store_hits() were simulated as fallback).
-  std::size_t store_hits() const { return store_hits_; }
 
  private:
   struct SigKeyHash {
@@ -83,7 +80,6 @@ class FaultDictionary {
   std::unordered_map<std::string, std::vector<std::size_t>, SigKeyHash>
       by_signature_;
   std::size_t stored_bits_ = 0;
-  std::size_t store_hits_ = 0;
   double build_seconds_ = 0.0;
 
   /// Shared by both constructors: the dictionary fault universe.

@@ -9,7 +9,7 @@
 #pragma once
 
 #include <condition_variable>
-#include <cstdint>
+#include <cstddef>
 #include <deque>
 #include <mutex>
 #include <optional>
@@ -34,12 +34,8 @@ class BoundedQueue {
   bool try_push(T&& item) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_ || items_.size() >= capacity_) {
-        ++n_rejected_;
-        return false;
-      }
+      if (closed_ || items_.size() >= capacity_) return false;
       items_.push_back(std::move(item));
-      ++n_accepted_;
       if (items_.size() > high_water_) high_water_ = items_.size();
     }
     ready_.notify_one();
@@ -76,17 +72,15 @@ class BoundedQueue {
     return items_.size();
   }
 
+  /// Levels only; the owner counts admissions and rejects.
   struct Stats {
-    std::uint64_t accepted = 0;
-    std::uint64_t rejected = 0;
     std::size_t high_water = 0;
     std::size_t depth = 0;
     std::size_t capacity = 0;
   };
   Stats stats() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return Stats{n_accepted_, n_rejected_, high_water_, items_.size(),
-                 capacity_};
+    return Stats{high_water_, items_.size(), capacity_};
   }
 
  private:
@@ -95,8 +89,6 @@ class BoundedQueue {
   std::condition_variable ready_;
   std::deque<T> items_;
   bool closed_ = false;
-  std::uint64_t n_accepted_ = 0;
-  std::uint64_t n_rejected_ = 0;
   std::size_t high_water_ = 0;
 };
 

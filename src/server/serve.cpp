@@ -38,7 +38,8 @@ struct ServeMetrics {
   /// reports). Waiting is fine; only a stall past the write deadline
   /// fails the connection.
   obs::Counter& write_stalls = obs::registry().counter("server.write_stalls");
-  /// Connections closed for a request line past kMaxRequestLineBytes.
+  /// Request lines past kMaxRequestLineBytes (a TCP connection is then
+  /// closed; stdio skips the line and reads on).
   obs::Counter& line_too_long =
       obs::registry().counter("server.line_too_long");
 };
@@ -85,6 +86,32 @@ Json parse_error_response(const std::string& what) {
   r.set("status", "error");
   r.set("error", what);
   return r;
+}
+
+/// Counts an overlong request line and returns its error response.
+Json line_too_long_response() {
+  serve_metrics().line_too_long.inc();
+  return parse_error_response(
+      "request line exceeds " + std::to_string(kMaxRequestLineBytes) +
+      " bytes; send large datalog lots by path in 'datalog_files'");
+}
+
+/// std::getline with a cap: reads one line into `line` (newline dropped)
+/// and returns false at EOF with nothing read. A line longer than
+/// kMaxRequestLineBytes is read to its newline but not kept: `line` is
+/// left empty and `too_long` set, so the caller can answer and read on.
+bool read_bounded_line(std::istream& in, std::string& line, bool& too_long) {
+  constexpr int kEof = std::char_traits<char>::eof();
+  line.clear();
+  too_long = false;
+  int c = in.rdbuf()->sbumpc();
+  if (c == kEof) return false;
+  for (; c != '\n' && c != kEof; c = in.rdbuf()->sbumpc()) {
+    too_long = too_long || line.size() == kMaxRequestLineBytes;
+    if (!too_long) line.push_back(static_cast<char>(c));
+  }
+  if (too_long) std::string().swap(line);
+  return true;
 }
 
 /// How long one response write may make zero progress before the
@@ -221,12 +248,7 @@ int serve_on_listener(DiagnosisService& service, int listen_fd,
       scanned = buffer.size();
       if (buffer.size() > kMaxRequestLineBytes) too_long = true;
     }
-    if (too_long) {
-      metrics.line_too_long.inc();
-      respond(parse_error_response(
-          "request line exceeds " + std::to_string(kMaxRequestLineBytes) +
-          " bytes; send large datalog lots by path in 'datalog_files'"));
-    }
+    if (too_long) respond(line_too_long_response());
     outstanding.wait_idle();
     ::close(fd);
     if (shutdown_server) {
@@ -304,7 +326,12 @@ int serve_stdio(DiagnosisService& service, std::istream& in,
   };
 
   std::string line;
-  while (std::getline(in, line)) {
+  bool too_long = false;
+  while (read_bounded_line(in, line, too_long)) {
+    if (too_long) {
+      respond(line_too_long_response());
+      continue;
+    }
     if (blank(line)) continue;
     Json request;
     try {

@@ -5,7 +5,9 @@
 //
 //  * serve_stdio — one request object per stdin line, one response object
 //    per stdout line. Responses are written as they complete, so they can
-//    arrive out of order relative to requests — clients match on `id`.
+//    arrive out of order relative to requests — clients match on `id`. A
+//    line longer than kMaxRequestLineBytes is answered with an error and
+//    skipped up to its newline; serving continues.
 //  * serve_tcp — same framing on a loopback-only TCP socket, one reader
 //    thread per connection, all feeding the shared service queue. A
 //    connection's thread is joined by the accept loop once it finishes,
@@ -29,7 +31,7 @@
 
 namespace mdd::server {
 
-/// The longest request line serve_tcp reads, newline excluded: 64 MiB,
+/// The longest request line either transport reads, newline excluded: 64 MiB,
 /// about 1,700x the largest line perfbench sends (a 37.7 KB inline
 /// g1k `diagnose_batch`). Larger datalog lots go by path in
 /// `datalog_files`.

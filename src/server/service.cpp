@@ -1,9 +1,12 @@
 #include "server/service.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -58,8 +61,12 @@ struct ServiceMetrics {
       obs::registry().counter("server.deadline_queue_expired");
   /// Timed-out diagnoses that still returned a partial ranking.
   obs::Counter& partials = obs::registry().counter("server.partial_results");
+  obs::Counter& queue_accepts =
+      obs::registry().counter("server.queue_accepts");
   obs::Counter& queue_rejects =
       obs::registry().counter("server.queue_rejects");
+  obs::Counter& refresh_failures =
+      obs::registry().counter("store.refresh_failures");
   obs::Counter& slow_requests =
       obs::registry().counter("server.slow_requests");
   obs::Gauge& queue_depth = obs::registry().gauge("server.queue_depth");
@@ -100,6 +107,18 @@ struct VolumeMetrics {
 VolumeMetrics& volume_metrics() {
   static VolumeMetrics m;
   return m;
+}
+
+/// A count field of a request (min_recurrences, top_k): fractions
+/// truncate and negatives read as 0; a non-number, NaN or a value past
+/// kMaxRequestCount throws std::invalid_argument (the cast to size_t
+/// would be undefined past SIZE_MAX).
+std::size_t request_count(const Json& v, const char* name) {
+  const double x = v.as_number(std::nan(""));
+  if (!(x <= kMaxRequestCount))
+    throw std::invalid_argument(std::string(name) +
+                                " must be a number no larger than 2^53");
+  return static_cast<std::size_t>(std::max(0.0, x));
 }
 
 Json trace_to_json(const obs::Trace& trace) {
@@ -151,9 +170,9 @@ std::optional<std::chrono::steady_clock::duration> deadline_budget(
     if (!v->is_number())
       throw std::invalid_argument("deadline_ms must be a number");
     ms = v->as_number();
-    if (std::isnan(ms) || std::isinf(ms) || ms < 0.0)
+    if (!(ms >= 0.0 && ms <= kMaxDeadlineMs))
       throw std::invalid_argument(
-          "deadline_ms must be a finite non-negative number");
+          "deadline_ms must be a number in [0, 1e12]");
   }
   if (ms <= 0.0 && default_deadline.count() > 0)
     ms = static_cast<double>(default_deadline.count());
@@ -169,6 +188,8 @@ DiagnosisService::DiagnosisService(const ServiceOptions& options)
       queue_(options.queue_depth),
       pool_(std::make_unique<ThreadPool>(
           std::max<std::size_t>(1, options.n_workers))) {
+  if (options.default_deadline.count() > kMaxDeadlineMs)
+    throw std::invalid_argument("default deadline above 1e12 ms");
   if (!options.kernel.empty() && !set_current_kernel(options.kernel))
     throw std::invalid_argument("unknown simulation kernel '" +
                                 options.kernel + "' (available: " +
@@ -246,10 +267,8 @@ void DiagnosisService::refresh_session(
     reader->validate_for(session->netlist, session->patterns);
     session->memo->set_store(std::move(reader));
     session->journal->compact(folded);
-    refreshes_.fetch_add(1, std::memory_order_relaxed);
   } catch (const std::exception& e) {
-    refresh_failures_.fetch_add(1, std::memory_order_relaxed);
-    obs::registry().counter("store.refresh_failures").inc();
+    service_metrics().refresh_failures.inc();
     std::cerr << "openmdd_serve: store refresh failed: " << e.what() << "\n";
   }
 }
@@ -299,7 +318,9 @@ void DiagnosisService::submit(Json request, std::function<void(Json)> done,
   }
   job.request = std::move(request);
   job.done = std::move(done);
-  if (!queue_.try_push(std::move(job))) {
+  if (queue_.try_push(std::move(job))) {
+    service_metrics().queue_accepts.inc();
+  } else {
     // try_push moves from the job only on success; on rejection it is
     // intact and carries the reject reply.
     service_metrics().queue_rejects.inc();
@@ -594,6 +615,14 @@ Json DiagnosisService::handle_diagnose_batch(const Json& request,
                        std::min(asked, static_cast<double>(max_threads)))
                  : default_threads;
   threads = std::clamp<std::size_t>(threads, 1, inputs.size());
+  VolumeOptions vopt;
+  vopt.systematic_fraction = std::clamp(
+      request.get_number("systematic_fraction", vopt.systematic_fraction),
+      0.0, 1.0);
+  if (const Json* v = request.find("min_recurrences"))
+    vopt.min_recurrences = request_count(*v, "min_recurrences");
+  if (const Json* v = request.find("top_k"))
+    vopt.top_k = request_count(*v, "top_k");
   parse_span.close();
 
   // Pin the session for the whole batch: eviction pressure from other
@@ -610,15 +639,6 @@ Json DiagnosisService::handle_diagnose_batch(const Json& request,
   session_span.close();
   const double t_session = ms_since(t0);
 
-  VolumeOptions vopt;
-  vopt.systematic_fraction = std::clamp(
-      request.get_number("systematic_fraction", vopt.systematic_fraction),
-      0.0, 1.0);
-  if (const Json* v = request.find("min_recurrences"))
-    vopt.min_recurrences =
-        static_cast<std::size_t>(std::max(0.0, v->as_number()));
-  if (const Json* v = request.find("top_k"))
-    vopt.top_k = static_cast<std::size_t>(std::max(0.0, v->as_number()));
   VolumeAggregator aggregator(inputs.size(), vopt);
 
   const auto t1 = Clock::now();
@@ -763,16 +783,12 @@ Json DiagnosisService::handle_sleep(const Json& request,
 void DiagnosisService::count_status(const Json& response) {
   const std::string status = response.get_string("status");
   if (status == "ok") {
-    ++n_ok_;
     service_metrics().ok.inc();
   } else if (status == "timeout") {
-    ++n_timeout_;
     service_metrics().timeout.inc();
   } else if (status == "overloaded") {
-    ++n_overloaded_;
     service_metrics().overloaded.inc();
   } else {
-    ++n_error_;
     service_metrics().error.inc();
   }
 }
@@ -808,53 +824,63 @@ void DiagnosisService::finish_request(const Json& request, Json& response,
 }
 
 Json DiagnosisService::stats_json() const {
+  // Counts come from one registry snapshot, so they agree with op=metrics
+  // and /metrics and survive session eviction; levels come from the
+  // objects that own them.
+  std::map<std::string, std::uint64_t, std::less<>> counts;
+  for (const obs::CounterSample& c : obs::registry().snapshot().counters)
+    counts.emplace(c.name, c.value);
+  const auto count = [&counts](std::string_view name) {
+    const auto it = counts.find(name);
+    return it == counts.end() ? std::uint64_t{0} : it->second;
+  };
+
   Json s;
   s.set("version", kVersion);
   s.set("kernel", current_kernel().name);
   s.set("workers", options_.n_workers);
   const SessionCacheStats cs = cache_.stats();
   Json cache;
-  cache.set("hits", cs.hits);
-  cache.set("misses", cs.misses);
-  cache.set("evictions", cs.evictions);
+  cache.set("hits", count("sessions.hits"));
+  cache.set("misses", count("sessions.misses"));
+  cache.set("evictions", count("sessions.evictions"));
   cache.set("entries", cs.entries);
   cache.set("bytes", cs.bytes);
   cache.set("max_bytes", cs.max_bytes);
   s.set("cache", std::move(cache));
   const auto qs = queue_.stats();
   Json queue;
-  queue.set("accepted", qs.accepted);
-  queue.set("rejected", qs.rejected);
+  queue.set("accepted", count("server.queue_accepts"));
+  queue.set("rejected", count("server.queue_rejects"));
   queue.set("high_water", qs.high_water);
   queue.set("depth", qs.depth);
   queue.set("capacity", qs.capacity);
   s.set("queue", std::move(queue));
   Json requests;
-  requests.set("ok", n_ok_.load());
-  requests.set("error", n_error_.load());
-  requests.set("timeout", n_timeout_.load());
-  requests.set("overloaded", n_overloaded_.load());
+  for (const char* status : {"ok", "error", "timeout", "overloaded"})
+    requests.set(status, count(std::string("server.requests.") + status));
   s.set("requests", std::move(requests));
 
-  // Per-session memo layers, aggregated across resident sessions with one
-  // uniform shape per layer (hits/misses/evictions/entries/bytes).
+  // One uniform shape per memo layer: traffic from its registry series,
+  // entries and bytes summed over the resident sessions.
   const MemoLayerStats ls = cache_.layer_stats();
-  const auto memo_json = [](const CacheStats& c) {
+  const auto memo_json = [&count](const std::string& layer,
+                                  const CacheStats& c) {
     Json m;
-    m.set("hits", c.hits);
-    m.set("misses", c.misses);
-    m.set("evictions", c.evictions);
+    m.set("hits", count("memo." + layer + ".hits"));
+    m.set("misses", count("memo." + layer + ".misses"));
+    m.set("evictions", count("memo." + layer + ".evictions"));
     m.set("entries", c.entries);
     m.set("bytes", c.approx_bytes);
     return m;
   };
   Json memos;
-  Json signature = memo_json(ls.signature);
-  signature.set("store_hits", ls.signature.store_hits);
-  signature.set("store_misses", ls.signature.store_misses);
+  Json signature = memo_json("signature", ls.signature);
+  signature.set("store_hits", count("store.hits"));
+  signature.set("store_misses", count("store.misses"));
   memos.set("signature", std::move(signature));
-  memos.set("trace", memo_json(ls.traces));
-  memos.set("composite", memo_json(ls.composites));
+  memos.set("trace", memo_json("trace", ls.traces));
+  memos.set("composite", memo_json("composite", ls.composites));
   s.set("memos", std::move(memos));
 
   Json store;
@@ -864,11 +890,11 @@ Json DiagnosisService::stats_json() const {
   store.set("sessions", ls.store_sessions);
   store.set("entries", ls.store_entries);
   store.set("bytes_mapped", ls.store_bytes_mapped);
-  store.set("hits", ls.signature.store_hits);
-  store.set("misses", ls.signature.store_misses);
+  store.set("hits", count("store.hits"));
+  store.set("misses", count("store.misses"));
   store.set("refresh_threshold", options_.store_refresh_threshold);
-  store.set("refreshes", refreshes_.load());
-  store.set("refresh_failures", refresh_failures_.load());
+  store.set("refreshes", count("store.refreshes"));
+  store.set("refresh_failures", count("store.refresh_failures"));
   Json journal;
   journal.set("sessions", ls.journal_sessions);
   journal.set("pending", ls.journal_pending);

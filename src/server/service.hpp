@@ -38,10 +38,8 @@
 // structured JSON line to the slow log.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <memory>
@@ -58,13 +56,22 @@
 
 namespace mdd::server {
 
+/// The largest `deadline_ms` a request may carry: 1e12 ms (about 31.7
+/// years). Past it, admission time plus the budget would overflow
+/// steady_clock's signed 64-bit nanosecond count and wrap negative.
+constexpr double kMaxDeadlineMs = 1e12;
+
+/// The largest value of a request's count fields (`min_recurrences`,
+/// `top_k`): 2^53, the largest double below which every integer is exact.
+constexpr double kMaxRequestCount = 9007199254740992.0;
+
 /// Deadline budget of a request, shared by every admission path so a
 /// given `deadline_ms` means the same instant on stdio, TCP, and direct
 /// handle() calls (microsecond resolution; the old handle() path
 /// truncated to whole milliseconds, turning 0.5 into "no deadline").
 /// Absent or 0 falls back to `default_deadline` (0 = none → nullopt).
-/// Negative, NaN, infinite, or non-numeric values throw
-/// std::invalid_argument.
+/// Negative, NaN, non-numeric values and values above kMaxDeadlineMs
+/// throw std::invalid_argument.
 std::optional<std::chrono::steady_clock::duration> deadline_budget(
     const Json& request,
     std::chrono::milliseconds default_deadline = std::chrono::milliseconds{
@@ -93,6 +100,7 @@ struct ServiceOptions {
   /// is the better use of the cores.
   ExecPolicy exec{};
   /// Applied when a request carries no deadline_ms; zero = no deadline.
+  /// Above kMaxDeadlineMs the constructor throws std::invalid_argument.
   std::chrono::milliseconds default_deadline{0};
   /// Requests slower than this (end-to-end, queue wait included) emit one
   /// structured JSON line to `slow_log`; 0 disables.
@@ -156,6 +164,9 @@ class DiagnosisService {
   /// answer). Idempotent; the destructor calls it.
   void shutdown();
 
+  /// The op=stats body: every count read from one registry snapshot
+  /// (process-wide: there is one service per daemon), every level from
+  /// the object that owns it, plus this service's configuration.
   Json stats_json() const;
   SessionCache& cache() { return cache_; }
   const ServiceOptions& options() const { return options_; }
@@ -224,13 +235,7 @@ class DiagnosisService {
   std::mutex refresh_mutex_;
   std::condition_variable refresh_cv_;
   bool stop_refresh_ = false;
-  std::atomic<std::uint64_t> refreshes_{0};
-  std::atomic<std::uint64_t> refresh_failures_{0};
 
-  std::atomic<std::uint64_t> n_ok_{0};
-  std::atomic<std::uint64_t> n_error_{0};
-  std::atomic<std::uint64_t> n_timeout_{0};
-  std::atomic<std::uint64_t> n_overloaded_{0};
   std::mutex slow_log_mutex_;  ///< one slow-request record per line
 };
 

@@ -8,7 +8,6 @@
 #include "netlist/bench_parser.hpp"
 #include "netlist/verilog_parser.hpp"
 #include "obs/metrics.hpp"
-#include "sim/sim2.hpp"
 #include "store/format.hpp"
 #include "workload/textio.hpp"
 
@@ -91,9 +90,11 @@ std::shared_ptr<const Session> load_session(const std::string& netlist_path,
         "pattern width (" + std::to_string(session->patterns.n_signals()) +
         ") does not match netlist inputs (" +
         std::to_string(session->netlist.n_inputs()) + "): " + patterns_path);
-  session->good = simulate(session->netlist, session->patterns);
   session->baseline = SingleFaultPropagator::make_baseline(session->netlist,
                                                            session->patterns);
+  // The baseline already holds the valid-masked PO response simulate()
+  // would produce; copying it saves a second good-machine simulation.
+  session->good = session->baseline->good;
   // The memo learns the session's full window so truncated-window lookups
   // can be served by restricting full-window entries.
   session->memo = std::make_unique<SignatureMemo>(
@@ -163,7 +164,6 @@ void SessionCache::evict_over_budget_locked() {
         bytes_ -= ent->second->session->approx_bytes;
       entries_.erase(ent);
     }
-    ++evictions_;
     session_metrics().evictions.inc();
   }
   session_metrics().bytes.set(static_cast<std::int64_t>(bytes_));
@@ -210,7 +210,6 @@ std::shared_ptr<const Session> SessionCache::get(
     std::lock_guard<std::mutex> load_lock(entry->load_mutex);
     if (entry->session) {
       std::lock_guard<std::mutex> lock(mutex_);
-      ++hits_;
       session_metrics().hits.inc();
       auto pos = lru_pos_.find(key);
       if (pos != lru_pos_.end())
@@ -239,7 +238,6 @@ std::shared_ptr<const Session> SessionCache::get(
     }
 
     std::lock_guard<std::mutex> lock(mutex_);
-    ++misses_;
     session_metrics().misses.inc();
     bytes_ += entry->session->approx_bytes;
     lru_.push_front(key);
@@ -324,9 +322,6 @@ std::vector<std::shared_ptr<const Session>> SessionCache::resident_sessions()
 SessionCacheStats SessionCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   SessionCacheStats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.evictions = evictions_;
   s.entries = lru_.size();
   s.bytes = bytes_;
   s.max_bytes = max_bytes_;

@@ -15,7 +15,7 @@
 // asking for the *same* circuit share one load.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -37,7 +37,8 @@ namespace mdd::server {
 struct Session {
   Netlist netlist;
   PatternSet patterns;
-  /// Good-machine response over the full pattern set (simulate() output).
+  /// Good-machine response over the full pattern set: equal to
+  /// simulate()'s output, copied from `baseline->good` at load.
   PatternSet good;
   /// Cross-request solo-signature memo (full-window datalogs only);
   /// thread-safe, so it lives happily inside a shared const Session.
@@ -69,19 +70,19 @@ struct Session {
 /// payloads exactly, netlist structures by a per-net constant).
 std::size_t approx_session_bytes(const Session& session);
 
+/// Resident footprint. Hits, misses and evictions are counted only in the
+/// registry (`sessions.{hits,misses,evictions}`).
 struct SessionCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;  ///< calls that performed (or joined) a load
-  std::uint64_t evictions = 0;
   std::size_t entries = 0;
   std::size_t bytes = 0;
   std::size_t max_bytes = 0;
 };
 
-/// Aggregated per-session memo/store accounting across every resident
-/// session (op=stats reporting; see DESIGN.md §12).
+/// Per-session memo/store levels summed over every resident session
+/// (op=stats reporting; see DESIGN.md §12). The memos' traffic is in the
+/// registry, where it outlives the sessions that produced it.
 struct MemoLayerStats {
-  SignatureMemoStats signature;
+  CacheStats signature;
   CacheStats traces;
   CacheStats composites;
   std::size_t store_sessions = 0;  ///< resident sessions with a store
@@ -173,14 +174,12 @@ class SessionCache {
   };
   AccountingCheck check_accounting() const;
 
-  /// Sums the memo/store stats of every loaded resident session.
+  /// Sums the memo/store levels of every loaded resident session.
   MemoLayerStats layer_stats() const;
 
   /// Snapshot of every fully loaded resident session (the background
   /// store-refresh thread walks these looking for journal backlog).
   std::vector<std::shared_ptr<const Session>> resident_sessions() const;
-
-  const std::string& store_dir() const { return store_dir_; }
 
  private:
   struct Entry {
@@ -201,9 +200,6 @@ class SessionCache {
   std::unordered_map<Key, std::list<Key>::iterator> lru_pos_;
   std::unordered_map<Key, std::size_t> pins_;  ///< eviction vetoes per key
   std::size_t bytes_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
 };
 
 }  // namespace mdd::server

@@ -69,7 +69,6 @@ std::shared_ptr<const ErrorSignature> SignatureMemo::lookup_locked(
     if (const auto* full = cache_.find(Key{f, full_window_})) {
       auto restricted = std::make_shared<const ErrorSignature>(
           restrict_to_window(**full, window_patterns));
-      ++window_restricts_;
       memo_metrics().window_restricts.inc();
       // Admit under the exact key: the batch's remaining datalogs with
       // this window shape get pointer copies.
@@ -82,7 +81,6 @@ std::shared_ptr<const ErrorSignature> SignatureMemo::lookup_locked(
       try {
         auto full =
             std::make_shared<const ErrorSignature>(dict_->decode(*idx));
-        ++store_hits_;
         memo_metrics().store_hits.inc();
         std::shared_ptr<const ErrorSignature> sig;
         if (window_patterns == dict_->n_patterns()) {
@@ -90,7 +88,6 @@ std::shared_ptr<const ErrorSignature> SignatureMemo::lookup_locked(
         } else {
           sig = std::make_shared<const ErrorSignature>(
               restrict_to_window(*full, window_patterns));
-          ++window_restricts_;
           memo_metrics().window_restricts.inc();
         }
         // Promote into the memory tier: repeat lookups become pointer
@@ -105,7 +102,6 @@ std::shared_ptr<const ErrorSignature> SignatureMemo::lookup_locked(
         dict_ = nullptr;
       }
     } else {
-      ++store_misses_;
       memo_metrics().store_misses.inc();
     }
   }
@@ -150,15 +146,9 @@ void SignatureMemo::set_journal(std::shared_ptr<store::FaultJournal> journal) {
   journal_ = std::move(journal);
 }
 
-std::shared_ptr<store::FaultJournal> SignatureMemo::journal() const {
+CacheStats SignatureMemo::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return journal_;
-}
-
-SignatureMemoStats SignatureMemo::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return SignatureMemoStats{cache_.stats(), store_hits_, store_misses_,
-                            window_restricts_};
+  return cache_.stats();
 }
 
 }  // namespace mdd::server

@@ -16,10 +16,13 @@
 //
 // The memory tier is a `ClockCache` (second-chance eviction, exact byte
 // accounting); this class adds the window restriction, the mmap store
-// tier and the store-miss journal.
+// tier and the store-miss journal. Its traffic is counted only in the
+// registry: `memo.signature.*` for the memory tier and `store.{hits,misses}`
+// for the mmap tier (a store hit is neither a memo hit nor a miss); every
+// restriction, from either tier, also counts
+// `memo.signature.window_restricts`.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -30,25 +33,6 @@
 #include "store/reader.hpp"
 
 namespace mdd::server {
-
-struct SignatureMemoStats : CacheStats {
-  /// Disk-tier traffic (zero unless a store is attached). A store hit is
-  /// NOT a miss: the signature was served without simulation, just from
-  /// the mmap instead of the heap.
-  std::uint64_t store_hits = 0;
-  std::uint64_t store_misses = 0;
-  /// Lookups answered by restricting a full-window signature to a
-  /// shorter applied window (counted inside hits/store_hits too).
-  std::uint64_t window_restricts = 0;
-
-  SignatureMemoStats& operator+=(const SignatureMemoStats& o) {
-    CacheStats::operator+=(o);
-    store_hits += o.store_hits;
-    store_misses += o.store_misses;
-    window_restricts += o.window_restricts;
-    return *this;
-  }
-};
 
 class SignatureMemo final : public SoloSignatureStore {
  public:
@@ -90,9 +74,9 @@ class SignatureMemo final : public SoloSignatureStore {
   /// recorded for the next refresh to fold into the dictionary. The
   /// journal itself dedups and never throws.
   void set_journal(std::shared_ptr<store::FaultJournal> journal);
-  std::shared_ptr<store::FaultJournal> journal() const;
 
-  SignatureMemoStats stats() const;
+  /// Memory-tier footprint; the traffic is in the registry.
+  CacheStats stats() const;
 
  private:
   struct Key {
@@ -113,11 +97,8 @@ class SignatureMemo final : public SoloSignatureStore {
   std::size_t full_window_ = 0;  ///< session pattern count; 0 = unknown
   mutable std::mutex mutex_;
   ClockCache<Key, std::shared_ptr<const ErrorSignature>, KeyHash> cache_;
-  std::uint64_t window_restricts_ = 0;
   std::shared_ptr<const store::DictReader> dict_;  ///< warm tier, may be null
   std::shared_ptr<store::FaultJournal> journal_;  ///< miss ledger, may be null
-  std::uint64_t store_hits_ = 0;
-  std::uint64_t store_misses_ = 0;
 };
 
 }  // namespace mdd::server

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <random>
+#include <regex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "diag/metrics.hpp"
@@ -447,6 +450,64 @@ TEST(Metamorphic, VerilogRoundTripOfTheBenchNetlistDoesNotChangeReports) {
       parse_verilog_string(write_verilog_string(c.netlist), lib).netlist;
   EXPECT_EQ(all_reports_json(from_verilog, c.patterns, c.logged.datalog_text),
             c.reference);
+}
+
+TEST(Metamorphic, RenamingEveryNetDoesNotChangeReports) {
+  // Every net gets a fresh name whose order scrambles the original one
+  // (a shuffled index between 'q' and 'z'); the datalog names its
+  // outputs the new way. Names map back one-to-one in the reports.
+  const MetamorphicCase& c = metamorphic_case();
+  std::vector<std::size_t> order(c.netlist.n_nets());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::shuffle(order.begin(), order.end(), std::mt19937(7));
+  std::map<std::string, std::string> renamed, original;
+  for (NetId n = 0; n < c.netlist.n_nets(); ++n) {
+    const std::string name = "q" + std::to_string(order[n]) + "z";
+    renamed[c.netlist.net_name(n)] = name;
+    original[name] = c.netlist.net_name(n);
+  }
+  // Identifiers in `.bench` and fail lines are runs of characters other
+  // than separators; keywords, gate kinds and numbers stay as they are.
+  const auto rename = [&renamed](const std::string& text) {
+    std::string out, token;
+    const auto flush = [&] {
+      const auto it = renamed.find(token);
+      out += it == renamed.end() ? token : it->second;
+      token.clear();
+    };
+    for (const char ch : text) {
+      if (std::string_view(" \t\n(),=:#").find(ch) != std::string_view::npos) {
+        flush();
+        out += ch;
+      } else {
+        token += ch;
+      }
+    }
+    flush();
+    return out;
+  };
+  const Netlist netlist =
+      parse_bench_string(rename(write_bench_string(c.netlist))).netlist;
+  ASSERT_EQ(netlist.n_nets(), c.netlist.n_nets());
+  const std::string datalog = edit_fail_lines(
+      c.logged.datalog_text, [&](std::vector<std::string>& v) {
+        for (std::string& line : v) line = rename(line);
+      });
+  ASSERT_NE(datalog, c.logged.datalog_text);
+
+  const std::string reports = all_reports_json(netlist, c.patterns, datalog);
+  std::string mapped_back;
+  const std::regex name("q[0-9]+z");
+  std::size_t last = 0;
+  for (auto it = std::sregex_iterator(reports.begin(), reports.end(), name);
+       it != std::sregex_iterator(); ++it) {
+    mapped_back += reports.substr(last, it->position() - last);
+    mapped_back += original.at(it->str());
+    last = it->position() + it->length();
+  }
+  mapped_back += reports.substr(last);
+  EXPECT_NE(reports, c.reference) << "the reports must name renamed nets";
+  EXPECT_EQ(mapped_back, c.reference);
 }
 
 }  // namespace

@@ -5,14 +5,18 @@
 // what its later (hotter) requests keep recomputing. These tests pin down
 // admission after fill-up, survival of referenced entries, exact byte
 // accounting, oversized/duplicate handling, and bounded concurrent
-// behavior (this file builds into the tsan-labelled binary).
+// behavior (this file builds into the tsan-labelled binary). Traffic is
+// read as deltas of each memo's registry series.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "diag/composite_memo.hpp"
+#include "obs/metrics.hpp"
 #include "server/signature_memo.hpp"
 #include "server/trace_memo.hpp"
 
@@ -43,6 +47,7 @@ Fault nth_fault(std::size_t n) {
 struct SignatureMemoCase {
   using Memo = server::SignatureMemo;
   using Value = std::shared_ptr<const ErrorSignature>;
+  static constexpr const char* kMetrics = "memo.signature";
   static Value make_value() { return make_signature(); }
   static void store(Memo& m, std::size_t n, Value v) {
     m.store(nth_fault(n), kWindow, std::move(v));
@@ -56,6 +61,7 @@ struct SignatureMemoCase {
 struct CompositeMemoCase {
   using Memo = CompositeMemo;
   using Value = std::shared_ptr<const ErrorSignature>;
+  static constexpr const char* kMetrics = "memo.composite";
   /// Same-size multiplets so key costs are uniform too.
   static CompositeKey key(std::size_t n) {
     const Fault members[2] = {
@@ -74,6 +80,7 @@ struct CompositeMemoCase {
 struct TraceMemoCase {
   using Memo = server::TraceMemo;
   using Value = std::shared_ptr<const std::vector<Fault>>;
+  static constexpr const char* kMetrics = "memo.trace";
   static Value make_value() {
     std::vector<Fault> faults;
     for (std::size_t i = 0; i < kItems; ++i) faults.push_back(nth_fault(i));
@@ -99,6 +106,13 @@ class MemoEviction : public ::testing::Test {
     Case::store(m, n, Case::make_value());
   }
 
+  /// The memo's registry series `<prefix>.<name>`, e.g. "evictions".
+  static std::uint64_t count(const char* name) {
+    return obs::registry()
+        .counter(std::string(Case::kMetrics) + "." + name)
+        .value();
+  }
+
   static std::size_t one_entry_cost() {
     Memo probe(1 << 20);
     store(probe, 0);
@@ -114,6 +128,7 @@ TYPED_TEST(MemoEviction, AdmitsNewEntriesAfterFillingUp) {
   const std::size_t cost = this->one_entry_cost();
   ASSERT_GT(cost, 0u);
   typename TestFixture::Memo memo(4 * cost);
+  const std::uint64_t evictions_before = this->count("evictions");
 
   // Fill the budget exactly, then keep storing: a memo that declines
   // once full would never admit the "hot" key below.
@@ -124,7 +139,7 @@ TYPED_TEST(MemoEviction, AdmitsNewEntriesAfterFillingUp) {
       << "a full memo must evict cold entries, not decline new ones";
 
   const auto stats = memo.stats();
-  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(this->count("evictions"), evictions_before);
   EXPECT_EQ(stats.entries, 4u);
   EXPECT_LE(stats.approx_bytes, 4 * cost);
 }
@@ -180,6 +195,8 @@ TYPED_TEST(MemoEviction, ConcurrentChurnStaysWithinBudget) {
   const std::size_t cost = this->one_entry_cost();
   const std::size_t budget = 6 * cost;
   typename TestFixture::Memo memo(budget);
+  const std::uint64_t lookups_before =
+      this->count("hits") + this->count("misses");
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 2000;
 
@@ -201,7 +218,7 @@ TYPED_TEST(MemoEviction, ConcurrentChurnStaysWithinBudget) {
   const auto stats = memo.stats();
   EXPECT_LE(stats.approx_bytes, budget);
   EXPECT_EQ(stats.approx_bytes, stats.entries * cost);
-  EXPECT_GT(stats.hits + stats.misses, 0u);
+  EXPECT_GT(this->count("hits") + this->count("misses"), lookups_before);
 }
 
 }  // namespace

@@ -2,9 +2,11 @@
 // precomputed per-session state (good response, propagator baseline,
 // memos), LRU eviction against the byte budget, survival of evicted
 // sessions held by in-flight requests, and concurrent access (this file
-// builds into the tsan-labelled binary).
+// builds into the tsan-labelled binary). Hits, misses and evictions are
+// read as deltas of the `sessions.*` registry series.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -13,23 +15,27 @@
 #include "fsim/fsim.hpp"
 #include "netlist/bench_parser.hpp"
 #include "netlist/generator.hpp"
+#include "obs/metrics.hpp"
 #include "server/session_cache.hpp"
 #include "workload/textio.hpp"
 
 namespace mdd::server {
 namespace {
 
-/// Writes the g200 circuit + a 64-pattern set under unique names in the
-/// test temp dir and returns the two paths. `tag` keeps per-test files
-/// (and, with distinct tags, distinct cache keys) apart.
+/// Writes the g200 circuit + a pattern set (64 patterns by default) under
+/// unique names in the test temp dir and returns the two paths. `tag`
+/// keeps per-test files (and, with distinct tags, distinct cache keys)
+/// apart.
 struct CircuitFiles {
   std::string netlist_path;
   std::string patterns_path;
 };
 
-CircuitFiles write_circuit_files(const std::string& tag) {
+CircuitFiles write_circuit_files(const std::string& tag,
+                                 std::size_t n_patterns = 64) {
   const Netlist netlist = make_named_circuit("g200");
-  const PatternSet patterns = PatternSet::random(64, netlist.n_inputs(), 7);
+  const PatternSet patterns =
+      PatternSet::random(n_patterns, netlist.n_inputs(), 7);
   CircuitFiles f;
   f.netlist_path = ::testing::TempDir() + "cache_" + tag + ".bench";
   f.patterns_path = ::testing::TempDir() + "cache_" + tag + ".patterns";
@@ -51,9 +57,16 @@ void expect_sound_accounting(const SessionCache& cache) {
   EXPECT_EQ(check.accounted, check.recomputed) << check.detail;
 }
 
+/// The registry series `sessions.<name>`, e.g. "evictions".
+std::uint64_t sessions_count(const char* name) {
+  return obs::registry().counter(std::string("sessions.") + name).value();
+}
+
 TEST(SessionCache, MissThenHitSharesOneSession) {
   const CircuitFiles f = write_circuit_files("hit");
   SessionCache cache(1ull << 30);
+  const std::uint64_t misses = sessions_count("misses");
+  const std::uint64_t hits = sessions_count("hits");
 
   bool hit = true;
   const auto first = cache.get(f.netlist_path, f.patterns_path, &hit);
@@ -65,8 +78,8 @@ TEST(SessionCache, MissThenHitSharesOneSession) {
   EXPECT_EQ(second.get(), first.get());
 
   const SessionCacheStats s = cache.stats();
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(sessions_count("misses") - misses, 1u);
+  EXPECT_EQ(sessions_count("hits") - hits, 1u);
   EXPECT_EQ(s.entries, 1u);
   EXPECT_EQ(s.bytes, first->approx_bytes);
   EXPECT_GT(s.bytes, 0u);
@@ -74,9 +87,12 @@ TEST(SessionCache, MissThenHitSharesOneSession) {
 }
 
 TEST(SessionCache, SessionPrecomputesSharedState) {
-  const CircuitFiles f = write_circuit_files("state");
+  // 100 patterns: the last block is partial, so the good response (copied
+  // from the propagator baseline) must carry simulate()'s valid-bit mask.
+  const CircuitFiles f = write_circuit_files("state", 100);
   SessionCache cache(1ull << 30);
   const auto session = cache.get(f.netlist_path, f.patterns_path);
+  ASSERT_EQ(session->patterns.n_patterns(), 100u);
 
   // The cached good response is exactly what a fresh simulation produces.
   const PatternSet expected_good =
@@ -130,10 +146,11 @@ TEST(SessionCache, EvictsLeastRecentlyUsed) {
   }
 
   SessionCache cache(2 * one + one / 2);
+  const std::uint64_t evictions = sessions_count("evictions");
   cache.get(a.netlist_path, a.patterns_path);
   cache.get(b.netlist_path, b.patterns_path);
   EXPECT_EQ(cache.stats().entries, 2u);
-  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(sessions_count("evictions") - evictions, 0u);
 
   // Touch A so B becomes the least recently used, then load C: B must be
   // the one evicted.
@@ -142,7 +159,7 @@ TEST(SessionCache, EvictsLeastRecentlyUsed) {
   EXPECT_TRUE(hit);
   cache.get(c.netlist_path, c.patterns_path);
   EXPECT_EQ(cache.stats().entries, 2u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(sessions_count("evictions") - evictions, 1u);
 
   cache.get(a.netlist_path, a.patterns_path, &hit);
   EXPECT_TRUE(hit) << "recently-used A should have survived";
@@ -164,9 +181,10 @@ TEST(SessionCache, EvictedSessionSurvivesForHolders) {
   // Budget below two sessions: loading B evicts A while we still hold A's
   // shared_ptr — the in-flight-request scenario.
   SessionCache cache(one + one / 2);
+  const std::uint64_t evictions = sessions_count("evictions");
   const auto held = cache.get(a.netlist_path, a.patterns_path);
   cache.get(b.netlist_path, b.patterns_path);
-  EXPECT_GE(cache.stats().evictions, 1u);
+  EXPECT_GE(sessions_count("evictions") - evictions, 1u);
 
   // The evicted session remains fully usable.
   EXPECT_EQ(held->good, simulate(held->netlist, held->patterns));
@@ -188,11 +206,12 @@ TEST(SessionCache, PinnedSessionSurvivesEvictionPressure) {
   // make A the LRU victim by touching B and loading C: the sweep must skip
   // pinned A and evict B instead.
   SessionCache cache(2 * one + one / 2);
+  const std::uint64_t evictions = sessions_count("evictions");
   const SessionCache::Pin pin = cache.pin(a.netlist_path, a.patterns_path);
   cache.get(a.netlist_path, a.patterns_path);
   cache.get(b.netlist_path, b.patterns_path);
   cache.get(c.netlist_path, c.patterns_path);
-  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(sessions_count("evictions") - evictions, 1u);
 
   bool hit = false;
   cache.get(a.netlist_path, a.patterns_path, &hit);
@@ -351,6 +370,7 @@ TEST(SessionCacheStress, ChurnKeepsByteAccountingExact) {
 
   // Room for two sessions and a half: most distinct gets evict.
   SessionCache cache(2 * one + one / 2);
+  const std::uint64_t evictions = sessions_count("evictions");
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t)
     threads.emplace_back([&, t] {
@@ -369,7 +389,8 @@ TEST(SessionCacheStress, ChurnKeepsByteAccountingExact) {
   for (std::thread& t : threads) t.join();
 
   const SessionCacheStats s = cache.stats();
-  EXPECT_GT(s.evictions, 0u) << "budget was meant to force eviction churn";
+  EXPECT_GT(sessions_count("evictions"), evictions)
+      << "budget was meant to force eviction churn";
   // A load evicts down to the budget or to the MRU head plus pinned keys.
   EXPECT_LE(s.entries, kThreads + 1);
   expect_sound_accounting(cache);

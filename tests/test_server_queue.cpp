@@ -25,8 +25,6 @@ TEST(BoundedQueue, TryPushRejectsWhenFull) {
   EXPECT_EQ(spill, 3);
 
   const auto s = q.stats();
-  EXPECT_EQ(s.accepted, 2u);
-  EXPECT_EQ(s.rejected, 1u);
   EXPECT_EQ(s.high_water, 2u);
   EXPECT_EQ(s.depth, 2u);
   EXPECT_EQ(s.capacity, 2u);
@@ -135,7 +133,6 @@ TEST(BoundedQueueStress, ProducersAndConsumersConserveItems) {
     present[static_cast<std::size_t>(v)] = true;
   }
   const auto s = q.stats();
-  EXPECT_EQ(s.accepted, kProducers * kPerProducer);
   EXPECT_LE(s.high_water, q.capacity());
   EXPECT_EQ(s.depth, 0u);
 }

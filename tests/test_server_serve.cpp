@@ -3,9 +3,9 @@
 // failed write in an empty catch — and worse, an unhandled SIGPIPE on the
 // raw ::write could kill the whole daemon), malformed request lines move
 // the parse-error counter, closed connections give back their threads, an
-// overlong request line is refused without unbounded buffering, and the
-// Prometheus endpoint serves a parseable exposition over plain HTTP.
-// Builds into the tsan-labelled binary.
+// overlong request line is refused without unbounded buffering on either
+// transport, and the Prometheus endpoint serves a parseable exposition
+// over plain HTTP. Builds into the tsan-labelled binary.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -21,6 +21,8 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "server/metrics_http.hpp"
@@ -263,6 +265,67 @@ TEST(ServeTcp, OverlongLineIsRefusedAndServingContinues) {
               std::string::npos);
   }
   server.shutdown();
+}
+
+/// A stream of `head`, then `n` 'x' bytes, then `tail`, produced one
+/// block at a time: an overlong line costs the test no memory.
+class GeneratedInput : public std::streambuf {
+ public:
+  GeneratedInput(std::string head, std::size_t n, std::string tail)
+      : head_(std::move(head)), left_(n), tail_(std::move(tail)) {}
+
+ protected:
+  int_type underflow() override {
+    std::string* next = nullptr;
+    if (stage_ == 0) {
+      next = &head_;
+    } else if (left_ > 0) {
+      const std::size_t n = std::min(left_, block_.size());
+      left_ -= n;
+      setg(block_.data(), block_.data(), block_.data() + n);
+      return traits_type::to_int_type(*gptr());
+    } else if (stage_ == 1) {
+      next = &tail_;
+    }
+    if (next == nullptr || next->empty()) return traits_type::eof();
+    ++stage_;
+    setg(next->data(), next->data(), next->data() + next->size());
+    return traits_type::to_int_type(*gptr());
+  }
+
+ private:
+  std::string head_;
+  std::size_t left_;
+  std::string tail_;
+  std::string block_ = std::string(std::size_t{1} << 16, 'x');
+  int stage_ = 0;  ///< 0: head next, 1: block bytes then tail, 2: done
+};
+
+TEST(ServeStdio, OverlongLineIsSkippedAndServingContinues) {
+  // std::getline used to buffer a line of any length. Past the cap the
+  // line now gets the TCP transport's error, is counted, and is read to
+  // its newline without being kept; the next request is still served.
+  DiagnosisService service;
+  const std::uint64_t before = counter_value("server.line_too_long");
+  GeneratedInput source("{\"op\":\"ping\",\"id\":0}\n",
+                        kMaxRequestLineBytes + 1,
+                        "\n{\"op\":\"ping\",\"id\":1}\n");
+  std::istream in(&source);
+  std::ostringstream out;
+  EXPECT_EQ(serve_stdio(service, in, out), 0);
+  EXPECT_EQ(counter_value("server.line_too_long"), before + 1);
+
+  std::istringstream lines(out.str());
+  std::vector<Json> responses;
+  for (std::string line; std::getline(lines, line);)
+    responses.push_back(Json::parse(line));
+  ASSERT_EQ(responses.size(), 3u) << out.str();
+  EXPECT_EQ(responses[0].get_number("id", -1), 0);
+  EXPECT_EQ(responses[1].get_string("status"), "error");
+  EXPECT_NE(responses[1].get_string("error").find("datalog_files"),
+            std::string::npos);
+  EXPECT_EQ(responses[2].get_string("status"), "ok");
+  EXPECT_EQ(responses[2].get_number("id", -1), 1);
 }
 
 namespace {

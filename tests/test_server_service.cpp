@@ -6,15 +6,18 @@
 // file builds into the tsan-labelled binary).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <cstdint>
 #include <fstream>
 #include <limits>
 #include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/version.hpp"
@@ -23,6 +26,7 @@
 #include "diag/slat.hpp"
 #include "netlist/bench_parser.hpp"
 #include "netlist/generator.hpp"
+#include "obs/metrics.hpp"
 #include "server/result_json.hpp"
 #include "server/service.hpp"
 #include "workload/textio.hpp"
@@ -108,12 +112,16 @@ TEST(ServiceDifferential, RepeatRequestHitsCacheAndStaysIdentical) {
   const ServiceFixture f = ServiceFixture::make("repeat");
   DiagnosisService service;
   const Json request = f.diagnose_request("all");
+  obs::Counter& memo_hits = obs::registry().counter("memo.signature.hits");
+  obs::Counter& trace_hits = obs::registry().counter("memo.trace.hits");
 
   // First request loads the session; repeats are served from the session
   // cache with warm signature/trace memos — and must not change a byte.
   const Json first = service.handle(request);
   EXPECT_EQ(first.get_string("status"), "ok");
   EXPECT_EQ(first.get_string("cache"), "miss");
+  const std::uint64_t memo_hits_before = memo_hits.value();
+  const std::uint64_t trace_hits_before = trace_hits.value();
   for (int i = 0; i < 2; ++i) {
     const Json again = service.handle(request);
     EXPECT_EQ(again.get_string("status"), "ok");
@@ -121,9 +129,8 @@ TEST(ServiceDifferential, RepeatRequestHitsCacheAndStaysIdentical) {
     EXPECT_EQ(reports_dump(again), reports_dump(first));
   }
 
-  const auto& session = *service.cache().get(f.netlist_path, f.patterns_path);
-  EXPECT_GT(session.memo->stats().hits, 0u);
-  EXPECT_GT(session.traces->stats().hits, 0u);
+  EXPECT_GT(memo_hits.value(), memo_hits_before);
+  EXPECT_GT(trace_hits.value(), trace_hits_before);
 }
 
 TEST(ServiceDeadline, ExpiredDeadlineYieldsTimeoutWithPartialResult) {
@@ -158,6 +165,8 @@ TEST(ServiceQueue, SaturatedQueueAnswersOverloaded) {
   options.n_workers = 1;
   options.queue_depth = 1;
   DiagnosisService service(options);
+  const std::uint64_t rejects_before =
+      obs::registry().counter("server.queue_rejects").value();
 
   // One worker busy on a long sleep + a depth-1 queue: a burst of
   // submissions must get explicit `overloaded` rejects, and every submit
@@ -195,7 +204,8 @@ TEST(ServiceQueue, SaturatedQueueAnswersOverloaded) {
   const Json stats = service.stats_json();
   const Json* queue = stats.find("queue");
   ASSERT_NE(queue, nullptr);
-  EXPECT_GE(queue->get_number("rejected"), 1.0);
+  EXPECT_GE(queue->get_number("rejected"),
+            static_cast<double>(rejects_before + 1));
 }
 
 TEST(ServiceQueue, DeadlineSpentInQueueAnswersTimeoutWithoutRunning) {
@@ -338,6 +348,150 @@ TEST(ServiceDeadline, InvalidDeadlineIsRejectedNotIgnored) {
     }
     EXPECT_EQ(submitted->get_string("status"), "error") << bad.dump();
   }
+}
+
+TEST(ServiceDeadline, DeadlinePastTheBoundIsRejectedNotWrapped) {
+  // Regression: any finite deadline_ms (or --default-deadline-ms) was
+  // cast to steady_clock's nanosecond count, so 1e13 and 1e300 wrapped to
+  // a negative budget and a sleep answered `timeout` at once.
+  const auto budget_of = [](double ms) {
+    Json request;
+    request.set("deadline_ms", ms);
+    return deadline_budget(request);
+  };
+  const auto largest = budget_of(kMaxDeadlineMs);
+  ASSERT_TRUE(largest.has_value());
+  EXPECT_EQ(std::chrono::duration_cast<std::chrono::milliseconds>(*largest)
+                .count(),
+            static_cast<std::int64_t>(kMaxDeadlineMs));
+  for (const double bad : {1e13, 1e300})
+    EXPECT_THROW(budget_of(bad), std::invalid_argument) << bad;
+
+  ServiceOptions huge_default;
+  huge_default.default_deadline = std::chrono::milliseconds(10'000'000'000'000);
+  EXPECT_THROW(DiagnosisService{huge_default}, std::invalid_argument);
+
+  DiagnosisService service;
+  Json request;
+  request.set("op", "sleep");
+  request.set("ms", 5.0);
+  request.set("deadline_ms", 1e300);
+  const Json response = service.handle(request);
+  EXPECT_EQ(response.get_string("status"), "error") << response.dump();
+  EXPECT_NE(response.get_string("error").find("deadline_ms"),
+            std::string::npos);
+}
+
+/// The op=stats value at a dotted `path` ("memos.signature.hits").
+double stats_at(const Json& stats, const std::string& path) {
+  const Json* node = &stats;
+  std::istringstream parts(path);
+  for (std::string key; std::getline(parts, key, '.');) {
+    node = node->find(key);
+    if (node == nullptr) {
+      ADD_FAILURE() << "op=stats has no " << path;
+      return -1;
+    }
+  }
+  return node->as_number(-1);
+}
+
+TEST(ServiceStats, EveryCountEqualsItsRegistrySeriesAcrossEviction) {
+  // op=stats reads its counts from the registry: they match op=metrics
+  // and /metrics exactly, and memo traffic does not drop when the session
+  // that produced it is evicted (a sum over resident sessions did).
+  const ServiceFixture a = ServiceFixture::make("stats_a");
+  const ServiceFixture b = ServiceFixture::make("stats_b");
+  std::size_t one = 0;
+  {
+    SessionCache scout(1ull << 30);
+    one = scout.get(a.netlist_path, a.patterns_path)->approx_bytes;
+  }
+  ServiceOptions options;
+  options.n_workers = 1;
+  options.queue_depth = 1;
+  options.cache_bytes = one + one / 2;  // holds one session
+  DiagnosisService service(options);
+
+  for (int i = 0; i < 3; ++i)
+    ASSERT_EQ(service.handle(a.diagnose_request("all")).get_string("status"),
+              "ok");
+  const Json before_eviction = service.stats_json();
+  EXPECT_GT(stats_at(before_eviction, "memos.signature.hits"), 0);
+  ASSERT_EQ(service.handle(b.diagnose_request("single")).get_string("status"),
+            "ok");
+  const Json after_eviction = service.stats_json();
+  EXPECT_GE(stats_at(after_eviction, "cache.evictions"),
+            stats_at(before_eviction, "cache.evictions") + 1);
+  EXPECT_EQ(stats_at(after_eviction, "cache.entries"), 1);
+  for (const char* layer : {"signature", "trace", "composite"}) {
+    const std::string hits = std::string("memos.") + layer + ".hits";
+    EXPECT_GE(stats_at(after_eviction, hits), stats_at(before_eviction, hits))
+        << hits << " dropped with the evicted session";
+  }
+
+  // One of each other status: an unknown op, a spent deadline, and a
+  // burst past a busy worker and a depth-1 queue.
+  Json unknown;
+  unknown.set("op", "no_such_op");
+  EXPECT_EQ(service.handle(unknown).get_string("status"), "error");
+  Json doomed;
+  doomed.set("op", "sleep");
+  doomed.set("ms", 2000.0);
+  doomed.set("deadline_ms", 1.0);
+  EXPECT_EQ(service.handle(doomed).get_string("status"), "timeout");
+  std::mutex mutex;
+  std::condition_variable done_cv;
+  std::vector<std::string> statuses;
+  constexpr std::size_t kBurst = 4;
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    Json sleep;
+    sleep.set("op", "sleep");
+    sleep.set("ms", 200.0);
+    service.submit(std::move(sleep), [&](Json response) {
+      std::lock_guard<std::mutex> lock(mutex);
+      statuses.push_back(response.get_string("status"));
+      done_cv.notify_one();
+    });
+  }
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    done_cv.wait(lock, [&] { return statuses.size() == kBurst; });
+  }
+  EXPECT_NE(std::count(statuses.begin(), statuses.end(), "overloaded"), 0);
+
+  // Quiescent now: every count must equal its registry series.
+  const Json stats = service.stats_json();
+  const obs::Snapshot snap = obs::registry().snapshot();
+  const auto series = [&snap](const std::string& name) -> double {
+    for (const obs::CounterSample& c : snap.counters)
+      if (c.name == name) return static_cast<double>(c.value);
+    return 0;
+  };
+  std::vector<std::pair<std::string, std::string>> pairs = {
+      {"cache.hits", "sessions.hits"},
+      {"cache.misses", "sessions.misses"},
+      {"cache.evictions", "sessions.evictions"},
+      {"queue.accepted", "server.queue_accepts"},
+      {"queue.rejected", "server.queue_rejects"},
+      {"memos.signature.store_hits", "store.hits"},
+      {"memos.signature.store_misses", "store.misses"},
+      {"store.hits", "store.hits"},
+      {"store.misses", "store.misses"},
+      {"store.refreshes", "store.refreshes"},
+      {"store.refresh_failures", "store.refresh_failures"}};
+  for (const char* status : {"ok", "error", "timeout", "overloaded"}) {
+    pairs.emplace_back(std::string("requests.") + status,
+                       std::string("server.requests.") + status);
+    EXPECT_GE(stats_at(stats, std::string("requests.") + status), 1)
+        << status;
+  }
+  for (const char* layer : {"signature", "trace", "composite"})
+    for (const char* count : {"hits", "misses", "evictions"})
+      pairs.emplace_back(std::string("memos.") + layer + "." + count,
+                         std::string("memo.") + layer + "." + count);
+  for (const auto& [path, name] : pairs)
+    EXPECT_EQ(stats_at(stats, path), series(name)) << path << " vs " << name;
 }
 
 TEST(ServiceTrace, OptInTraceReportsStagesCoveringTheRequest) {

@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "server/signature_memo.hpp"
 
 namespace mdd::server {
@@ -50,18 +51,21 @@ TEST(SignatureMemo, TruncatedLookupRestrictsFullWindowEntry) {
   SignatureMemo memo(1 << 20, kWindow);
   const Fault f = nth_fault(3);
   memo.store(f, kWindow, make_signature(8));  // failing patterns 0..7
+  obs::Counter& restricts =
+      obs::registry().counter("memo.signature.window_restricts");
+  const std::uint64_t restricts_before = restricts.value();
 
   const std::size_t short_window = 5;
   auto restricted = memo.lookup(f, short_window);
   ASSERT_NE(restricted, nullptr);
   EXPECT_EQ(restricted->n_patterns(), short_window);
   EXPECT_EQ(restricted->n_failing_patterns(), 5u);  // patterns 0..4 kept
-  EXPECT_EQ(memo.stats().window_restricts, 1u);
+  EXPECT_EQ(restricts.value() - restricts_before, 1u);
 
   // The restricted result is admitted under its exact key: the next
   // lookup is a pointer copy, no second restriction.
   EXPECT_EQ(memo.lookup(f, short_window).get(), restricted.get());
-  EXPECT_EQ(memo.stats().window_restricts, 1u);
+  EXPECT_EQ(restricts.value() - restricts_before, 1u);
 
   // Unknown faults still miss.
   EXPECT_EQ(memo.lookup(nth_fault(99), short_window), nullptr);

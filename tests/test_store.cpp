@@ -291,13 +291,15 @@ TEST(StoreDictionary, FromStoreBuildEqualsFreshSimulation) {
   const auto dict_reader = DictReader::open(f.path);
 
   const FaultDictionary fresh(f.netlist, f.patterns);
+  obs::Counter& decodes = obs::registry().counter("store.decodes");
+  const std::uint64_t decodes_before = decodes.value();
   const FaultDictionary from_store(f.netlist, f.patterns, *dict_reader);
   EXPECT_EQ(from_store.n_entries(), fresh.n_entries());
   EXPECT_EQ(from_store.stored_bits(), fresh.stored_bits());
   // The default store universe (uncollapsed stuck-at + the same sampled
   // dominant bridges) covers every collapsed representative, so at most
   // the dictionary's wired-bridge-free sampling differs — count it.
-  EXPECT_GT(from_store.store_hits(), 0u);
+  EXPECT_GT(decodes.value(), decodes_before);
 
   FaultSimulator fsim(f.netlist, f.patterns);
   const std::vector<Fault> defect{Fault::stem_sa(f.netlist.n_nets() / 3, true)};
@@ -333,6 +335,8 @@ TEST(StoreWarm, ContextWarmsFromStoreWithoutSimulatingCoveredCandidates) {
   DiagnosisContext ctx(f.netlist, f.patterns, log);
   ctx.attach_solo_store(&memo);
   ASSERT_TRUE(ctx.solo_store_attached());
+  obs::Counter& store_hits = obs::registry().counter("store.hits");
+  const std::uint64_t hits_before = store_hits.value();
   const std::size_t warmed = ctx.warm_solo_from_store();
   // Every stem stuck-at candidate is in the store; only candidates the
   // extractor invents outside it (sampled dominant bridges with other
@@ -340,7 +344,7 @@ TEST(StoreWarm, ContextWarmsFromStoreWithoutSimulatingCoveredCandidates) {
   EXPECT_GT(warmed, 0u);
   EXPECT_EQ(ctx.solo_compute_count(), 0u)
       << "store warm must not simulate anything";
-  EXPECT_GT(memo.stats().store_hits, 0u);
+  EXPECT_GT(store_hits.value(), hits_before);
 
   // And the store-warmed context must diagnose byte-identically to a
   // storeless one.
@@ -363,6 +367,13 @@ TEST(StoreMemo, DiskTierPromotesIntoMemoryTier) {
 
   const std::size_t full = dict->n_patterns();
   const Fault fault = f.universe.front();
+  const auto count = [](const char* name) {
+    return obs::registry().counter(name).value();
+  };
+  const std::uint64_t store_hits = count("store.hits");
+  const std::uint64_t store_misses = count("store.misses");
+  const std::uint64_t memo_hits = count("memo.signature.hits");
+  const std::uint64_t memo_misses = count("memo.signature.misses");
   const auto first = memo.lookup(fault, full);
   ASSERT_NE(first, nullptr) << "store should answer the memory miss";
   const auto second = memo.lookup(fault, full);
@@ -370,16 +381,16 @@ TEST(StoreMemo, DiskTierPromotesIntoMemoryTier) {
   EXPECT_EQ(second.get(), first.get())
       << "second lookup must be the promoted in-memory object";
 
-  const server::SignatureMemoStats s = memo.stats();
-  EXPECT_EQ(s.store_hits, 1u);
-  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(count("store.hits") - store_hits, 1u);
+  EXPECT_EQ(count("memo.signature.hits") - memo_hits, 1u);
   // A store hit is an answered lookup: the caller never simulates, so the
   // memory-tier miss counter must not move.
-  EXPECT_EQ(s.misses, 0u);
+  EXPECT_EQ(count("memo.signature.misses") - memo_misses, 0u);
 
   // A fault the store lacks is a miss on both tiers.
   EXPECT_EQ(memo.lookup(Fault::slow_to_rise(0), full), nullptr);
-  EXPECT_EQ(memo.stats().store_misses, 1u);
+  EXPECT_EQ(count("store.misses") - store_misses, 1u);
+  EXPECT_EQ(count("memo.signature.misses") - memo_misses, 1u);
 }
 
 TEST(StoreMemo, EachAnswerCountsOnceInItsTier) {
@@ -424,19 +435,13 @@ TEST(StoreMemo, EachAnswerCountsOnceInItsTier) {
   before = counts();
   EXPECT_EQ(memo.lookup(Fault::slow_to_rise(0), full), nullptr);
   expect_delta(before, {0, 1, 0, 0});
-
-  const server::SignatureMemoStats s = memo.stats();
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.store_hits, 1u);
-  EXPECT_EQ(s.window_restricts, 1u);
 }
 
 TEST(StoreMemo, BatchLookupMatchesSingleLookupsKeyForKey) {
   // Oracle for lookup_many: twin memos with the same inserts, the same
   // .mdds store and a journal each; one serves a key mix as one batch,
   // the other as single lookups. Answers, every registry counter the
-  // tiers move, the stats and the journaled misses must all agree.
+  // tiers move, the footprints and the journaled misses must all agree.
   const StoreFixture f = StoreFixture::make("memo-batch");
   const auto dict = DictReader::open(f.path);
   const std::size_t full = dict->n_patterns();
@@ -542,15 +547,10 @@ TEST(StoreMemo, BatchLookupMatchesSingleLookupsKeyForKey) {
   }
   EXPECT_EQ(got_batch[5], nullptr);
 
-  const server::SignatureMemoStats sb = batch->memo.stats();
-  const server::SignatureMemoStats ss = single->memo.stats();
-  EXPECT_EQ(sb.hits, ss.hits);
-  EXPECT_EQ(sb.misses, ss.misses);
+  const CacheStats sb = batch->memo.stats();
+  const CacheStats ss = single->memo.stats();
   EXPECT_EQ(sb.entries, ss.entries);
   EXPECT_EQ(sb.approx_bytes, ss.approx_bytes);
-  EXPECT_EQ(sb.store_hits, ss.store_hits);
-  EXPECT_EQ(sb.store_misses, ss.store_misses);
-  EXPECT_EQ(sb.window_restricts, ss.window_restricts);
 
   // Misses go back as stores, as a context would: both journals record
   // the same faults.
@@ -595,6 +595,9 @@ TEST(StoreMemo, DiskTierRestrictsForTruncatedWindows) {
     }
   }
 
+  obs::Counter& restricts =
+      obs::registry().counter("memo.signature.window_restricts");
+  const std::uint64_t restricts_before = restricts.value();
   const auto served = memo.lookup(fault, short_window);
   ASSERT_NE(served, nullptr);
   EXPECT_EQ(served->n_patterns(), short_window);
@@ -606,7 +609,7 @@ TEST(StoreMemo, DiskTierRestrictsForTruncatedWindows) {
   EXPECT_EQ(*served, prop.signature(fault))
       << "restricted store answer must match a fresh short-window "
          "simulation exactly";
-  EXPECT_GT(memo.stats().window_restricts, 0u);
+  EXPECT_GT(restricts.value(), restricts_before);
 }
 
 }  // namespace

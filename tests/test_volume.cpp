@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <clocale>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -21,6 +22,7 @@
 #include "fsim/fsim.hpp"
 #include "netlist/bench_parser.hpp"
 #include "netlist/generator.hpp"
+#include "obs/metrics.hpp"
 #include "server/reorder.hpp"
 #include "server/service.hpp"
 #include "workload/textio.hpp"
@@ -596,6 +598,8 @@ TEST(DiagnoseBatch, DatalogDirOrderIsByteWiseNotLocaleCollated) {
 TEST(DiagnoseBatch, ValidatesInputsBeforeTouchingTheSession) {
   const BatchFixture f = BatchFixture::make("validate", 1);
   DiagnosisService service;
+  const std::uint64_t misses_before =
+      obs::registry().counter("sessions.misses").value();
 
   const auto expect_error = [&](Json request, const std::string& fragment) {
     const Json response = service.handle(request);
@@ -638,7 +642,40 @@ TEST(DiagnoseBatch, ValidatesInputsBeforeTouchingTheSession) {
   expect_error(bad_dir, "datalog_dir");
 
   // The session cache must not have been touched by any rejected request.
-  EXPECT_EQ(service.cache().stats().misses, 0u);
+  EXPECT_EQ(obs::registry().counter("sessions.misses").value(),
+            misses_before);
+}
+
+TEST(DiagnoseBatch, OutOfRangeCountFieldsAreRejected) {
+  // A count past 2^53 used to be cast straight to size_t: undefined, and
+  // on x86-64 1e300 became 0, so min_recurrences 1e300 counted every
+  // fault as recurring. Such values now answer `error` before the
+  // session is touched; the largest accepted value still diagnoses.
+  const BatchFixture f = BatchFixture::make("counts", 2);
+  DiagnosisService service;
+  const std::uint64_t misses_before =
+      obs::registry().counter("sessions.misses").value();
+  for (const char* field : {"min_recurrences", "top_k"}) {
+    for (const Json bad : {Json(1e300), Json(1e16), Json("many")}) {
+      Json request = f.batch_request(1);
+      request.set(field, bad);
+      const Json response = service.handle(request);
+      EXPECT_EQ(response.get_string("status"), "error")
+          << field << "=" << bad.dump();
+      EXPECT_NE(response.get_string("error").find(field), std::string::npos)
+          << response.dump();
+    }
+  }
+  EXPECT_EQ(obs::registry().counter("sessions.misses").value(), misses_before);
+
+  Json largest = f.batch_request(1);
+  largest.set("min_recurrences", kMaxRequestCount);
+  largest.set("top_k", kMaxRequestCount);
+  const Json response = service.handle(largest);
+  ASSERT_EQ(response.get_string("status"), "ok") << response.dump();
+  EXPECT_EQ(response.find("volume")->get_number("n_systematic_datalogs", -1),
+            0)
+      << "no fault recurs in 2^53 datalogs";
 }
 
 TEST(DiagnoseBatch, CompletesUnderCacheBudgetTooSmallForTheSession) {
