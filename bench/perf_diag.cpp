@@ -128,7 +128,7 @@ struct HotFixture {
   FaultSimulator fsim{bc.netlist, bc.patterns};
   std::shared_ptr<const PropagatorBaseline> baseline =
       SingleFaultPropagator::make_baseline(bc.netlist, bc.patterns);
-  server::SignatureMemo solos{256ull << 20, bc.patterns.n_patterns()};
+  server::SignatureMemo solos{256ull << 20};
   server::TraceMemo traces;
   std::vector<Datalog> logs;
 

@@ -9,11 +9,13 @@
 // across contexts and requests, unlike candidate-pool indexes — so each
 // distinct composite is propagated once.
 //
-// Signatures are stored pre-masking (full-window truth); callers subtract
-// their context's masked bits after lookup. The memo is a mutex around a
-// `ClockCache` (second-chance eviction, exact byte accounting) with no
-// tier behind it: an evicted composite is re-propagated, because a disk
-// tier measured no cheaper than that (DESIGN.md §14). Thread-safe.
+// Signatures are stored over the full pattern set and pre-masking; each
+// caller cuts its context's unobserved bits (patterns past the applied
+// window, X-masked bits) after lookup, so one entry serves every datalog.
+// The memo is a mutex around a `ClockCache` (second-chance eviction, exact
+// byte accounting) with no tier behind it: an evicted composite is
+// re-propagated, because a disk tier measured no cheaper than that
+// (DESIGN.md §14). Thread-safe.
 #pragma once
 
 #include <algorithm>
@@ -29,35 +31,29 @@
 namespace mdd {
 
 /// Canonical memo key for a composite: the multiplet's member faults,
-/// sorted, plus the applied-window length they were propagated over. Two
-/// spans listing the same members in any order map to the same entry; the
-/// same member set over a different (e.g. ATE-truncated) window does not.
+/// sorted. Two spans listing the same members in any order map to the
+/// same entry.
 class CompositeKey {
  public:
-  explicit CompositeKey(std::span<const Fault> multiplet,
-                        std::size_t window_patterns = 0)
-      : members_(multiplet.begin(), multiplet.end()),
-        window_patterns_(window_patterns) {
+  explicit CompositeKey(std::span<const Fault> multiplet)
+      : members_(multiplet.begin(), multiplet.end()) {
     std::sort(members_.begin(), members_.end());
   }
 
   const std::vector<Fault>& members() const { return members_; }
-  std::size_t window_patterns() const { return window_patterns_; }
   bool operator==(const CompositeKey&) const = default;
 
  private:
   std::vector<Fault> members_;
-  std::size_t window_patterns_ = 0;
 };
 
 struct CompositeKeyHash {
   std::size_t operator()(const CompositeKey& key) const {
     // FNV-style fold over the per-member hashes (members are sorted, so
-    // the fold order is canonical), then the window length.
+    // the fold order is canonical).
     std::size_t h = 0xcbf29ce484222325ull;
     for (const Fault& f : key.members())
       h = (h ^ FaultHash{}(f)) * 0x100000001b3ull;
-    h = (h ^ key.window_patterns()) * 0x100000001b3ull;
     return h;
   }
 };

@@ -49,11 +49,11 @@ DiagnosisContext::DiagnosisContext(
     std::shared_ptr<const PropagatorBaseline> baseline, obs::Trace* trace)
     : netlist_(&netlist),
       datalog_(&datalog),
+      patterns_(&patterns),
+      precomputed_good_(precomputed_good),
       window_(make_window(patterns, datalog.n_patterns_applied)),
       observed_(restrict_signature(datalog.observed,
-                                   datalog.n_patterns_applied)),
-      masked_(restrict_signature(datalog.masked,
-                                 datalog.n_patterns_applied)) {
+                                   datalog.n_patterns_applied)) {
   diag_metrics().contexts.inc();
   {
     std::optional<obs::Trace::Span> span;
@@ -65,26 +65,16 @@ DiagnosisContext::DiagnosisContext(
   {
     std::optional<obs::Trace::Span> span;
     if (trace != nullptr) span.emplace(trace->span("baseline"));
-    // The shared baseline was built for the full pattern set; it is only
-    // valid when the window is the full set (no truncation).
-    if (baseline != nullptr &&
-        baseline->n_blocks == window_.n_blocks() &&
-        baseline->good.n_patterns() == window_.n_patterns())
-      baseline_ = std::move(baseline);
+    // One engine on the full set whatever the window, so every context
+    // shares the session's baseline; solo queries simulate just the window.
+    baseline_ = std::move(baseline);
     if (baseline_ != nullptr)
-      propagator_.emplace(netlist, window_, baseline_);
+      propagator_.emplace(netlist, patterns, baseline_);
     else
-      propagator_.emplace(netlist, window_);
-    if (precomputed_good != nullptr &&
-        precomputed_good->n_patterns() >= window_.n_patterns())
-      fsim_.emplace(netlist, window_,
-                    make_window(*precomputed_good, window_.n_patterns()));
-    else
-      fsim_.emplace(netlist, window_);
+      propagator_.emplace(netlist, patterns);
   }
-  // Static contexts always admit the cross-case memos: entries are keyed
-  // by (fault, window length) and hold pre-masking truth, so truncation
-  // and X-masking no longer disqualify a datalog from amortization.
+  // Static contexts always admit the cross-case memos: cut_unobserved
+  // tailors their full-set, pre-masking entries to this datalog.
   memo_attachable_ = true;
 }
 
@@ -99,20 +89,22 @@ DiagnosisContext::DiagnosisContext(const Netlist& netlist,
       launch_window_(make_window(launch, datalog.n_patterns_applied)),
       observed_(restrict_signature(datalog.observed,
                                    datalog.n_patterns_applied)),
-      masked_(restrict_signature(datalog.masked, datalog.n_patterns_applied)),
       pool_(extract_tdf_candidates(netlist, launch_window_, window_, datalog,
                                    candidate_options)),
       pair_fsim_(std::in_place, netlist, launch_window_, window_),
       propagator_(std::in_place, netlist, launch_window_, window_),
       solo_cache_(pool_.faults.size()) {}
 
-/// The memo speaks pre-masking truth; the slot holds what the diagnosers
-/// consume (this context's masked bits already subtracted).
-std::shared_ptr<const ErrorSignature> DiagnosisContext::apply_mask(
+/// The cut takes the window's shape, byte-identical to simulating over
+/// the window and subtracting the mask.
+std::shared_ptr<const ErrorSignature> DiagnosisContext::cut_unobserved(
     std::shared_ptr<const ErrorSignature> pre) const {
-  if (masked_.empty()) return pre;
-  return std::make_shared<const ErrorSignature>(
-      signature_difference(*pre, masked_));
+  const std::size_t n = window_.n_patterns();
+  const ErrorSignature& masked = datalog_->masked;
+  if (pre->n_patterns() == n && masked.empty()) return pre;
+  ErrorSignature cut = signature_prefix(*pre, n);
+  if (!masked.empty()) cut = signature_difference(cut, masked);
+  return std::make_shared<const ErrorSignature>(std::move(cut));
 }
 
 void DiagnosisContext::lookup_solo_batch() {
@@ -123,9 +115,9 @@ void DiagnosisContext::lookup_solo_batch() {
   std::size_t hits = 0;
   if (solo_store_ != nullptr) {
     std::vector<std::shared_ptr<const ErrorSignature>> found(n);
-    solo_store_->lookup_many(pool_.faults, window_.n_patterns(), found);
+    solo_store_->lookup_many(pool_.faults, found);
     // A store miss must leave the slot cold for the warm/lazy fill, so
-    // the lookup and the masking run OUTSIDE the call_once and only a
+    // the lookup and the cut run OUTSIDE the call_once and only a
     // hit executes the callable, a nothrow move. Nothing may throw
     // through a once_flag: TSan's pthread_once interceptor never resets
     // an exceptionally-unwound flag (glibc's unwind handler does), so
@@ -134,7 +126,7 @@ void DiagnosisContext::lookup_solo_batch() {
     // retries it, and slots already filled keep their value.
     for (std::size_t i = 0; i < n; ++i) {
       if (found[i] == nullptr) continue;
-      auto sig = apply_mask(std::move(found[i]));
+      auto sig = cut_unobserved(std::move(found[i]));
       SoloSlot& slot = solo_cache_[i];
       std::call_once(slot.once, [&] { slot.sig = std::move(sig); });
       ++hits;
@@ -153,18 +145,24 @@ const ErrorSignature& DiagnosisContext::fill_solo(
   SoloSlot& slot = solo_cache_[i];
   std::call_once(slot.once, [&] {
     const Fault& f = pool_.faults[i];
+    // Only the window is simulated: a full-set solo would cost a truncated
+    // window 2-3x its own patterns' price (EXPERIMENTS "One key per
+    // fault"). So only a full window yields truth the store may hold.
+    const std::size_t n = window_.n_patterns();
     std::shared_ptr<const ErrorSignature> pre;
     if (prop != nullptr) {
-      pre = std::make_shared<const ErrorSignature>(prop->signature(f));
+      pre = std::make_shared<const ErrorSignature>(prop->signature(f, n));
     } else {
       // The shared propagator's scratch state needs exclusive access.
       std::lock_guard<std::mutex> lock(propagator_mutex_);
-      pre = std::make_shared<const ErrorSignature>(propagator_->signature(f));
+      pre = std::make_shared<const ErrorSignature>(
+          propagator_->signature(f, n));
     }
     solo_computes_.fetch_add(1, std::memory_order_relaxed);
     diag_metrics().solo_computes.inc();
-    if (solo_store_ != nullptr) solo_store_->store(f, window_.n_patterns(), pre);
-    slot.sig = apply_mask(std::move(pre));
+    if (solo_store_ != nullptr && n == patterns_->n_patterns())
+      solo_store_->store(f, pre);
+    slot.sig = cut_unobserved(std::move(pre));
   });
   return *slot.sig;
 }
@@ -212,9 +210,9 @@ void DiagnosisContext::warm_solo_signatures(const ExecPolicy& policy,
                                                         launch_window_,
                                                         window_)
                             : baseline_ != nullptr
-                                ? SingleFaultPropagator(*netlist_, window_,
+                                ? SingleFaultPropagator(*netlist_, *patterns_,
                                                         baseline_)
-                                : SingleFaultPropagator(*netlist_, window_);
+                                : SingleFaultPropagator(*netlist_, *patterns_);
                         CancelCheckpoint cp(cancel, 8);
                         for (std::size_t i = begin; i < end; ++i) {
                           if (cp()) {
@@ -228,33 +226,43 @@ void DiagnosisContext::warm_solo_signatures(const ExecPolicy& policy,
 
 ErrorSignature DiagnosisContext::multiplet_signature(
     std::span<const Fault> multiplet) {
+  // Static engines simulate the full pattern set, the memo's shareable
+  // shape; this context's unobserved bits come off at the end.
+  std::shared_ptr<const ErrorSignature> sig;
+  const CompositeKey key(multiplet);
   if (reference_composites_) {
     diag_metrics().composite_evals.inc();
-    ErrorSignature sig = pair_mode() ? pair_fsim_->signature(multiplet)
-                                     : fsim_->signature(multiplet);
-    if (!masked_.empty()) sig = signature_difference(sig, masked_);
-    return sig;
-  }
-  // Entries are stored pre-masking: the full-window truth is what is
-  // shareable across contexts; this context's masked bits come off after.
-  const CompositeKey key(multiplet, window_.n_patterns());
-  std::shared_ptr<const ErrorSignature> sig = composites_->lookup(key);
-  if (sig == nullptr) {
-    diag_metrics().composite_evals.inc();
-    const auto t0 = std::chrono::steady_clock::now();
-    {
-      std::lock_guard<std::mutex> lock(propagator_mutex_);
+    std::lock_guard<std::mutex> lock(propagator_mutex_);
+    if (pair_mode()) {
       sig = std::make_shared<const ErrorSignature>(
-          propagator_->signature(multiplet));
+          pair_fsim_->signature(multiplet));
+    } else {
+      if (!fsim_.has_value()) {
+        if (precomputed_good_ != nullptr)
+          fsim_.emplace(*netlist_, *patterns_, *precomputed_good_);
+        else
+          fsim_.emplace(*netlist_, *patterns_);
+      }
+      sig = std::make_shared<const ErrorSignature>(fsim_->signature(multiplet));
     }
-    diag_metrics().composite_ms.observe(
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    composites_->store(key, sig);
+  } else {
+    sig = composites_->lookup(key);
+    if (sig == nullptr) {
+      diag_metrics().composite_evals.inc();
+      const auto t0 = std::chrono::steady_clock::now();
+      {
+        std::lock_guard<std::mutex> lock(propagator_mutex_);
+        sig = std::make_shared<const ErrorSignature>(
+            propagator_->signature(multiplet));
+      }
+      diag_metrics().composite_ms.observe(
+          std::chrono::duration<double, std::milli>(
+              std::chrono::steady_clock::now() - t0)
+              .count());
+      composites_->store(key, sig);
+    }
   }
-  if (masked_.empty()) return *sig;
-  return signature_difference(*sig, masked_);
+  return *cut_unobserved(std::move(sig));
 }
 
 std::vector<Fault> DiagnosisContext::indistinguishable_from(std::size_t i) {

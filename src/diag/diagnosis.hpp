@@ -5,6 +5,8 @@
 // (possibly truncated) error signature, the extracted candidate pool, and
 // a cache of per-candidate solo signatures (computed lazily — every
 // diagnoser needs most of them, no diagnoser wants to recompute them).
+// The cross-case memos hold full-pattern-set signatures; a context cuts
+// each down to what its tester observed: its window, minus X-masked bits.
 #pragma once
 
 #include <atomic>
@@ -74,53 +76,48 @@ struct DiagnosisReport {
   }
 };
 
-/// Cross-case store for candidate solo signatures. A solo signature
-/// depends only on (netlist, applied window) — not on the observed
-/// failures or the tester's X-mask — so datalogs for one circuit can
-/// share one store and each (candidate, window shape) is simulated once
-/// per circuit instead of once per datalog. Entries are keyed by
-/// (fault, window length) and hold the PRE-masking truth: contexts with
-/// masked bits subtract them after lookup, so ATE-truncated and X-masked
-/// datalogs amortize too. Implementations must be thread-safe; lookups
-/// must return exactly what a fresh compute over that window would
-/// produce (the serving layer's determinism contract rides on it).
+/// Cross-case store for candidate solo signatures, keyed by the fault
+/// alone. An entry is the signature over the FULL pattern set, before
+/// masking: every datalog for one circuit — full, ATE-truncated or
+/// X-masked — can read it and cut what its tester did not observe.
+/// Implementations must be thread-safe; lookups must return exactly what
+/// a fresh full-set compute would produce (the serving layer's
+/// determinism contract rides on it).
 class SoloSignatureStore {
  public:
   virtual ~SoloSignatureStore() = default;
-  /// Batch lookup: `out[k]` becomes the cached pre-masking signature for
-  /// `faults[k]` over the first `window_patterns` patterns, or null on
-  /// miss. One call per context, so a locking store locks once per
-  /// datalog rather than once per candidate. `out.size()` must equal
+  /// Batch lookup: `out[k]` becomes the cached signature of `faults[k]`,
+  /// or null on miss. One call per context, so a locking store locks once
+  /// per datalog rather than once per candidate. `out.size()` must equal
   /// `faults.size()`.
   virtual void lookup_many(
-      std::span<const Fault> faults, std::size_t window_patterns,
+      std::span<const Fault> faults,
       std::span<std::shared_ptr<const ErrorSignature>> out) = 0;
   /// One-key lookup_many.
-  std::shared_ptr<const ErrorSignature> lookup(const Fault& f,
-                                               std::size_t window_patterns) {
+  std::shared_ptr<const ErrorSignature> lookup(const Fault& f) {
     std::shared_ptr<const ErrorSignature> sig;
-    lookup_many({&f, 1}, window_patterns, {&sig, 1});
+    lookup_many({&f, 1}, {&sig, 1});
     return sig;
   }
-  /// Offers a freshly computed pre-masking signature (shared, so neither
-  /// side copies); the store may decline (full).
-  virtual void store(const Fault& f, std::size_t window_patterns,
+  /// Offers a freshly computed signature (shared, so neither side
+  /// copies); the store may decline (full).
+  virtual void store(const Fault& f,
                      std::shared_ptr<const ErrorSignature> sig) = 0;
 };
 
 class DiagnosisContext {
  public:
-  /// Static-test context (single-frame patterns). `precomputed_good`, if
-  /// given, must be simulate(netlist, patterns) over the FULL pattern set
-  /// (the serving session cache computes it once per circuit); the window
-  /// restriction is applied here. Null recomputes it. `baseline`, if
-  /// given, must be SingleFaultPropagator::make_baseline(netlist,
-  /// patterns) — it is used (shared, not copied) whenever the datalog's
-  /// window spans the full pattern set, sparing each context the
-  /// full-circuit good simulation; otherwise it is ignored. `trace`, if
-  /// non-null, receives nested "extract" / "baseline" spans covering
-  /// candidate extraction and simulation-engine setup (the serving layer
-  /// threads its per-request trace through here).
+  /// Static-test context (single-frame patterns). Its engines run on the
+  /// full `patterns`; solo misses are simulated over the datalog's applied
+  /// window only. `precomputed_good`, if given, must be
+  /// simulate(netlist, patterns) (the serving session cache computes it
+  /// once per circuit); only the reference composite simulator reads it.
+  /// `baseline`, if given, must be SingleFaultPropagator::make_baseline(
+  /// netlist, patterns) — shared, not copied, sparing each context the
+  /// full-circuit good simulation. `netlist`, `patterns`, `datalog` and
+  /// `precomputed_good` must outlive the context. `trace`, if non-null,
+  /// receives nested "extract" / "baseline" spans covering candidate
+  /// extraction and simulation-engine setup.
   DiagnosisContext(
       const Netlist& netlist, const PatternSet& patterns,
       const Datalog& datalog, const CandidateOptions& candidate_options = {},
@@ -190,12 +187,10 @@ class DiagnosisContext {
   }
 
   /// Attaches a cross-case solo-signature store. Honored for every
-  /// static-test context — entries are keyed by (fault, window length)
-  /// and hold pre-masking signatures, so truncated and X-masked datalogs
-  /// share them too (this context subtracts its own masked bits after
-  /// lookup). Pair-mode (transition) contexts never attach: their
-  /// signatures depend on the launch frame as well. Call before the
-  /// first solo_signature()/warm_solo_signatures() query.
+  /// static-test context; it offers its solo misses only when its window
+  /// is the full pattern set. Pair-mode (transition) contexts never
+  /// attach: their signatures depend on the launch frame as well. Call
+  /// before the first solo_signature()/warm_solo_signatures() query.
   void attach_solo_store(SoloSignatureStore* store) {
     if (memo_attachable_) solo_store_ = store;
   }
@@ -211,17 +206,17 @@ class DiagnosisContext {
 
   /// Attaches a cross-request composite-signature memo (the serving
   /// session cache owns one per circuit). Like attach_solo_store,
-  /// honored for every static context — entries are keyed by
-  /// (member set, window length) and stored pre-masking, so they mean
-  /// the same thing in every attaching context. Pair-mode contexts keep
-  /// their private per-request memo.
+  /// honored for every static context: composites are evaluated over the
+  /// full pattern set, so entries mean the same thing in every attaching
+  /// context. Pair-mode contexts keep their private per-request memo.
   void attach_composite_memo(CompositeMemo* memo) {
     if (memo_attachable_ && memo != nullptr) composites_ = memo;
   }
 
   /// Routes multiplet_signature through the reference full-circuit
   /// simulator instead of the event engine + memo (A/B benchmarking and
-  /// differential tests).
+  /// differential tests). The static reference simulator is built on the
+  /// first such query.
   void use_reference_composites(bool on) { reference_composites_ = on; }
 
   /// Candidates (other than `i`) with a solo signature identical to
@@ -231,16 +226,17 @@ class DiagnosisContext {
  private:
   const Netlist* netlist_;
   const Datalog* datalog_;
+  const PatternSet* patterns_ = nullptr;  ///< full set; null in pair mode
+  const PatternSet* precomputed_good_ = nullptr;  ///< static mode, may be null
   PatternSet window_;         // capture window in pair mode
   PatternSet launch_window_;  // pair mode only
   ErrorSignature observed_;
-  ErrorSignature masked_;  ///< X-masked bits stripped from every signature
   CandidatePool pool_;
+  /// Reference simulators; the static one is built on first use.
   std::optional<FaultSimulator> fsim_;
   std::optional<PairFaultSimulator> pair_fsim_;
-  /// Event-driven PPSFP engine for the thousands of per-candidate solo
-  /// signatures (composite multiplet signatures still use the full
-  /// machines above).
+  /// Event-driven PPSFP engine for the per-candidate solo signatures and
+  /// the composite multiplet signatures.
   std::optional<SingleFaultPropagator> propagator_;
 
   struct SoloSlot {
@@ -251,14 +247,15 @@ class DiagnosisContext {
   };
   /// Slot `i`, filled on first use: by the context's batch lookup, else
   /// simulated with `prop` (null: the shared propagator, under its
-  /// mutex), masked bits subtracted, and offered to the store.
+  /// mutex), offered to the store, and cut to what this tester observed.
   const ErrorSignature& fill_solo(std::size_t i, SingleFaultPropagator* prop);
   /// The context's one batch lookup; idempotent, and a no-op fast path
   /// once done. Runs outside every slot's once_flag (see diagnosis.cpp).
   void lookup_solo_batch();
-  /// Subtracts this context's masked bits from a pre-masking signature
-  /// (pointer pass-through when nothing is masked).
-  std::shared_ptr<const ErrorSignature> apply_mask(
+  /// Cuts the bits this datalog's tester did not observe — patterns past
+  /// the applied window, X-masked bits — from a pre-masking signature
+  /// (pointer pass-through when there are none).
+  std::shared_ptr<const ErrorSignature> cut_unobserved(
       std::shared_ptr<const ErrorSignature> pre) const;
 
   /// deque: slots are neither movable (once_flag) nor relocated.
@@ -269,14 +266,14 @@ class DiagnosisContext {
   std::atomic<bool> solo_batch_done_{false};
   std::size_t solo_batch_hits_ = 0;  ///< store answers; set before done
   SoloSignatureStore* solo_store_ = nullptr;
-  bool memo_attachable_ = false;  ///< static mode (window-keyed memos OK)
+  bool memo_attachable_ = false;  ///< static mode (full-set memos OK)
   /// Per-context composite memo (intra-request reuse across restarts and
   /// refinement); replaced by the session-wide memo when one is attached.
   CompositeMemo local_composites_{32ull << 20};
   CompositeMemo* composites_ = &local_composites_;
   bool reference_composites_ = false;
-  /// Shared good-machine state for the propagators (full-window static
-  /// contexts only; null means each propagator computes its own).
+  /// Shared good-machine state for the static propagators (null means
+  /// each propagator computes its own).
   std::shared_ptr<const PropagatorBaseline> baseline_;
 };
 

@@ -171,6 +171,15 @@ ErrorSignature signature_difference(const ErrorSignature& a,
   return out;
 }
 
+ErrorSignature signature_prefix(const ErrorSignature& sig,
+                                std::size_t n_patterns) {
+  ErrorSignature out(n_patterns, sig.n_outputs());
+  const std::vector<std::uint32_t>& failing = sig.failing_patterns();
+  for (std::size_t i = 0; i < failing.size() && failing[i] < n_patterns; ++i)
+    out.append(failing[i], sig.mask(i));
+  return out;
+}
+
 ErrorSignature restrict_signature(const ErrorSignature& sig,
                                   std::size_t n_patterns) {
   ErrorSignature out(sig.n_patterns(), sig.n_outputs());

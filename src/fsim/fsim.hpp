@@ -100,6 +100,11 @@ class SignatureMatcher {
 ErrorSignature signature_difference(const ErrorSignature& a,
                                     const ErrorSignature& b);
 
+/// The first `n_patterns` patterns of `sig`, shape included: byte-identical
+/// to simulating over just that prefix of the pattern set.
+ErrorSignature signature_prefix(const ErrorSignature& sig,
+                                std::size_t n_patterns);
+
 /// Drops failing patterns with index >= `n_patterns` (ATE applied-window
 /// restriction).
 ErrorSignature restrict_signature(const ErrorSignature& sig,

@@ -129,9 +129,12 @@ SingleFaultPropagator::SingleFaultPropagator(const Netlist& netlist,
 
 void SingleFaultPropagator::seed_site(NetId net, const Word* value,
                                       const Word* good) {
-  if (!touched_[net] && std::equal(value, value + lanes_, good))
+  Word seeded[kMaxKernelLanes];
+  for (std::size_t l = 0; l < lanes_; ++l)
+    seeded[l] = (value[l] & seed_mask_[l]) | (good[l] & ~seed_mask_[l]);
+  if (!touched_[net] && std::equal(seeded, seeded + lanes_, good))
     return;  // fault not excited here
-  std::copy(value, value + lanes_, scratch_.begin() + net * lanes_);
+  std::copy(seeded, seeded + lanes_, scratch_.begin() + net * lanes_);
   if (touched_[net]) return;
   touched_[net] = true;
   touched_list_.push_back(net);
@@ -254,7 +257,9 @@ void SingleFaultPropagator::collect_pos(std::size_t b0, std::size_t m,
   // Per lane: scatter every PO diff's set bits into the bit table, then
   // emit the failing patterns' rows in ascending order, zeroing each.
   for (std::size_t l = 0; l < m; ++l) {
-    const Word valid = patterns_->valid_mask(b0 + l);
+    Word valid = patterns_->valid_mask(b0 + l);
+    const std::size_t end = (b0 + l + 1) * 64;
+    if (end > sig.n_patterns()) valid &= kAllOne >> (end - sig.n_patterns());
     Word any = kAllZero;
     for (const auto& [t, po] : touched_pos_) {
       Word diff = (scratch_[t * lanes_ + l] ^ baseline_->row(t)[b0 + l]) &
@@ -275,11 +280,14 @@ void SingleFaultPropagator::collect_pos(std::size_t b0, std::size_t m,
   }
 }
 
-ErrorSignature SingleFaultPropagator::signature(const Fault& fault) {
+ErrorSignature SingleFaultPropagator::signature(const Fault& fault,
+                                                std::size_t n_patterns) {
   validate_fault(fault, *netlist_);
+  const std::size_t n = std::min(n_patterns, patterns_->n_patterns());
+  const std::size_t n_blocks = (n + 63) / 64;
   propagate_metrics().queries.inc();
-  propagate_metrics().patterns_simulated.inc(patterns_->n_patterns());
-  ErrorSignature sig(patterns_->n_patterns(), netlist_->n_outputs());
+  propagate_metrics().patterns_simulated.inc(n);
+  ErrorSignature sig(n, netlist_->n_outputs());
 
   // Dominant bridges are propagated optimistically assuming the aggressor
   // is not downstream of the victim; watching the aggressor detects the
@@ -296,8 +304,14 @@ ErrorSignature SingleFaultPropagator::signature(const Fault& fault) {
       watch = fault.net;  // force the fallback below via first group
   }
 
-  for (std::size_t b = 0; b < patterns_->n_blocks();) {
-    const std::size_t m = std::min(lanes_, patterns_->n_blocks() - b);
+  for (std::size_t b = 0; b < n_blocks;) {
+    const std::size_t m = std::min(lanes_, n_blocks - b);
+    for (std::size_t l = 0; l < lanes_; ++l) {
+      const std::size_t first = (b + l) * 64;
+      seed_mask_[l] = first >= n        ? kAllZero
+                      : n - first >= 64 ? kAllOne
+                                        : kAllOne >> (64 - (n - first));
+    }
     seed_fault(fault, b);
     const bool feedback =
         propagate(b, m, sig, watch) ||
@@ -308,7 +322,8 @@ ErrorSignature SingleFaultPropagator::signature(const Fault& fault) {
       const PatternSet faulty =
           launch_ ? fallback_.simulate_pair(*launch_, *patterns_)
                   : fallback_.simulate(*patterns_);
-      return ErrorSignature::diff(baseline_->good, faulty);
+      return signature_prefix(ErrorSignature::diff(baseline_->good, faulty),
+                              n);
     }
     b += m;
   }

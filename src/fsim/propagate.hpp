@@ -86,8 +86,12 @@ class SingleFaultPropagator {
 
   /// Error signature of one fault; equals FaultyMachine-based signatures
   /// for non-feedback faults. Feedback bridges fall back to the exact
-  /// fixpoint machine.
-  ErrorSignature signature(const Fault& fault);
+  /// fixpoint machine. `n_patterns` limits the query to that prefix of
+  /// the pattern set, shape included — byte-identical to a propagator
+  /// built over just the prefix. Only the prefix's bits carry the fault,
+  /// so a short prefix costs what its own patterns cost.
+  ErrorSignature signature(const Fault& fault,
+                           std::size_t n_patterns = SIZE_MAX);
 
   /// Error signature of an entire multiplet injected simultaneously
   /// (composite evaluation). Bit-identical to
@@ -116,9 +120,12 @@ class SingleFaultPropagator {
   /// (feedback-bridge detection — the optimistic result is then invalid).
   bool propagate(std::size_t b0, std::size_t m, ErrorSignature& sig,
                  NetId watch);
+  /// Seeds `value` in the bits seed_mask_ selects; the others keep `good`,
+  /// so they never start a wave.
   void seed_site(NetId net, const Word* value, const Word* good);
   /// Appends the failing patterns of this group's first `m` lanes — every
-  /// touched PO whose overlay differs from the good machine — to `sig`.
+  /// touched PO whose overlay differs from the good machine — to `sig`,
+  /// up to its pattern count.
   void collect_pos(std::size_t b0, std::size_t m, ErrorSignature& sig);
 
   // Composite (multi-fault) machinery. The multiplet is partitioned like
@@ -186,6 +193,8 @@ class SingleFaultPropagator {
   std::vector<Word> launch_values_;  ///< pair mode; baseline layout
 
   // Per-query scratch.
+  /// Per lane of the current group, the query's pattern bits.
+  Word seed_mask_[kMaxKernelLanes] = {};
   std::vector<Word> scratch_;  ///< [net][lane] faulty overlay
   std::vector<char> touched_;  // bytes, not bits: tested per fanin
   std::vector<NetId> touched_list_;

@@ -96,6 +96,48 @@ Json line_too_long_response() {
       " bytes; send large datalog lots by path in 'datalog_files'");
 }
 
+/// One request line, as both transports handle it. A ping is answered on
+/// the reader thread, ahead of the queue: a supervisor's health probe must
+/// measure liveness, not queue depth. `outstanding` and `respond` must
+/// outlive every submitted request. Returns false once a shutdown is
+/// acknowledged (after the outstanding requests drained).
+template <class Respond>
+bool handle_line(DiagnosisService& service, const std::string& line,
+                 Outstanding& outstanding, const Respond& respond) {
+  if (blank(line)) return true;
+  Json request;
+  try {
+    request = Json::parse(line);
+  } catch (const std::exception& e) {
+    serve_metrics().parse_errors.inc();
+    respond(parse_error_response(e.what()));
+    return true;
+  }
+  const std::string op = request.get_string("op");
+  if (op == "shutdown") {
+    outstanding.wait_idle();
+    Json ack;
+    if (const Json* id = request.find("id")) ack.set("id", *id);
+    ack.set("status", "ok");
+    ack.set("op", "shutdown");
+    respond(ack);
+    return false;
+  }
+  if (op == "ping") {
+    respond(service.handle(request));
+    return true;
+  }
+  outstanding.add();
+  service.submit(
+      std::move(request),
+      [o = &outstanding, r = &respond](Json response) {
+        (*r)(response);
+        o->done();
+      },
+      [r = &respond](const Json& streamed) { (*r)(streamed); });
+  return true;
+}
+
 /// std::getline with a cap: reads one line into `line` (newline dropped)
 /// and returns false at EOF with nothing read. A line longer than
 /// kMaxRequestLineBytes is read to its newline but not kept: `line` is
@@ -209,40 +251,10 @@ int serve_on_listener(DiagnosisService& service, int listen_fd,
         }
         const std::string line = buffer.substr(start, nl - start);
         start = scanned = nl + 1;
-        if (blank(line)) continue;
-        Json request;
-        try {
-          request = Json::parse(line);
-        } catch (const std::exception& e) {
-          metrics.parse_errors.inc();
-          respond(parse_error_response(e.what()));
-          continue;
-        }
-        if (request.get_string("op") == "shutdown") {
-          outstanding.wait_idle();
-          Json ack;
-          if (const Json* id = request.find("id")) ack.set("id", *id);
-          ack.set("status", "ok");
-          ack.set("op", "shutdown");
-          respond(ack);
+        if (!handle_line(service, line, outstanding, respond)) {
           shutdown_server = true;
           break;
         }
-        if (request.get_string("op") == "ping") {
-          // Answered on the reader thread, ahead of the queue: a
-          // supervisor's health probe must measure process liveness, not
-          // queue depth (a daemon deep into a batch is busy, not hung).
-          respond(service.handle(request));
-          continue;
-        }
-        outstanding.add();
-        service.submit(
-            std::move(request),
-            [&](Json response) {
-              respond(response);
-              outstanding.done();
-            },
-            [&](const Json& streamed) { respond(streamed); });
       }
       buffer.erase(0, start);
       scanned = buffer.size();
@@ -332,36 +344,7 @@ int serve_stdio(DiagnosisService& service, std::istream& in,
       respond(line_too_long_response());
       continue;
     }
-    if (blank(line)) continue;
-    Json request;
-    try {
-      request = Json::parse(line);
-    } catch (const std::exception& e) {
-      serve_metrics().parse_errors.inc();
-      respond(parse_error_response(e.what()));
-      continue;
-    }
-    if (request.get_string("op") == "shutdown") {
-      outstanding.wait_idle();
-      Json ack;
-      if (const Json* id = request.find("id")) ack.set("id", *id);
-      ack.set("status", "ok");
-      ack.set("op", "shutdown");
-      respond(ack);
-      return 0;
-    }
-    if (request.get_string("op") == "ping") {
-      respond(service.handle(request));  // liveness probe: jumps the queue
-      continue;
-    }
-    outstanding.add();
-    service.submit(
-        std::move(request),
-        [&](Json response) {
-          respond(response);
-          outstanding.done();
-        },
-        [&](const Json& streamed) { respond(streamed); });
+    if (!handle_line(service, line, outstanding, respond)) return 0;
   }
   outstanding.wait_idle();
   return 0;

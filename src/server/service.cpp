@@ -7,15 +7,14 @@
 #include <filesystem>
 #include <iostream>
 #include <map>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "core/version.hpp"
-#include "diag/multiplet.hpp"
-#include "diag/single_fault.hpp"
-#include "diag/slat.hpp"
+#include "diag/method.hpp"
 #include "diag/volume.hpp"
 #include "obs/metrics.hpp"
 #include "server/reorder.hpp"
@@ -392,6 +391,7 @@ DiagnosisService::DiagnoseOutcome DiagnosisService::diagnose_one(
     const Session& session, const DatalogInput& input,
     const std::string& method, const CancelToken* cancel,
     obs::Trace& trace) {
+  const std::span<const DiagnosisMethod> methods = methods_named(method);
   DiagnoseOutcome out;
   const auto t1 = Clock::now();
   {
@@ -429,26 +429,10 @@ DiagnosisService::DiagnoseOutcome DiagnosisService::diagnose_one(
   out.t_context = ms_since(t1);
 
   const auto t2 = Clock::now();
-  if (method == "multiplet" || method == "all") {
-    auto span = trace.span("rank:multiplet");
-    MultipletOptions opt;
-    opt.cancel = cancel;
-    out.reports.push_back(diagnose_multiplet(ctx, opt));
+  for (const DiagnosisMethod& m : methods) {
+    auto span = trace.span("rank:" + std::string(m.name));
+    out.reports.push_back(m.run(ctx, cancel));
   }
-  if (method == "slat" || method == "all") {
-    auto span = trace.span("rank:slat");
-    SlatOptions opt;
-    opt.cancel = cancel;
-    out.reports.push_back(diagnose_slat(ctx, opt));
-  }
-  if (method == "single" || method == "all") {
-    auto span = trace.span("rank:single");
-    SingleFaultOptions opt;
-    opt.cancel = cancel;
-    out.reports.push_back(diagnose_single_fault(ctx, opt));
-  }
-  if (out.reports.empty())
-    throw std::invalid_argument("unknown method '" + method + "'");
   out.t_diagnose = ms_since(t2);
 
   out.timed_out = cancel != nullptr && cancel->cancelled();
@@ -538,9 +522,11 @@ Json DiagnosisService::handle_diagnose_batch(const Json& request,
     return error_response(
         request, "diagnose_batch needs 'netlist' and 'patterns' paths");
   const std::string method = request.get_string("method", "multiplet");
-  if (method != "multiplet" && method != "slat" && method != "single" &&
-      method != "all")
-    return error_response(request, "unknown method '" + method + "'");
+  try {
+    methods_named(method);
+  } catch (const std::invalid_argument& e) {
+    return error_response(request, e.what());
+  }
 
   // Exactly one input form: inline texts, file list, or a directory.
   const Json* inline_logs = request.find("datalogs");

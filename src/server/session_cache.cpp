@@ -95,15 +95,14 @@ std::shared_ptr<const Session> load_session(const std::string& netlist_path,
   // The baseline already holds the valid-masked PO response simulate()
   // would produce; copying it saves a second good-machine simulation.
   session->good = session->baseline->good;
-  // The memo learns the session's full window so truncated-window lookups
-  // can be served by restricting full-window entries.
-  session->memo = std::make_unique<SignatureMemo>(
-      memo_bytes, session->patterns.n_patterns());
+  session->memo = std::make_unique<SignatureMemo>(memo_bytes);
   session->traces = std::make_unique<TraceMemo>();
   session->composites = std::make_unique<CompositeMemo>(composite_bytes);
-  session->dict =
-      try_attach_store(store_dir, session->netlist, session->patterns);
-  if (session->dict != nullptr) session->memo->set_store(session->dict);
+  // A matching dictionary store becomes the memo's disk tier. Its mmapped
+  // bytes are NOT charged against the cache budget — they live in the
+  // page cache, not the heap.
+  session->memo->set_store(
+      try_attach_store(store_dir, session->netlist, session->patterns));
   if (!store_dir.empty()) {
     // The journal sidecar exists whenever a store directory does — also
     // when the .mdds itself is still absent, so the very first served pass
@@ -289,14 +288,12 @@ MemoLayerStats SessionCache::layer_stats() const {
   for (const auto& [key, entry] : entries_) {
     const std::shared_ptr<const Session> session = entry->session;
     if (session == nullptr) continue;  // still loading
-    if (session->memo) out.signature += session->memo->stats();
-    if (session->traces) out.traces += session->traces->stats();
-    if (session->composites) out.composites += session->composites->stats();
+    out.signature += session->memo->stats();
+    out.traces += session->traces->stats();
+    out.composites += session->composites->stats();
     // Account the reader the memo is serving from NOW — a background
     // refresh may have swapped a newer one in since load time.
-    const std::shared_ptr<const store::DictReader> dict =
-        session->memo ? session->memo->store_reader() : session->dict;
-    if (dict != nullptr) {
+    if (const auto dict = session->memo->store_reader()) {
       ++out.store_sessions;
       out.store_entries += dict->n_entries();
       out.store_bytes_mapped += dict->bytes_mapped();

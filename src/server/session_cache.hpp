@@ -40,25 +40,18 @@ struct Session {
   /// Good-machine response over the full pattern set: equal to
   /// simulate()'s output, copied from `baseline->good` at load.
   PatternSet good;
-  /// Cross-request solo-signature memo (full-window datalogs only);
-  /// thread-safe, so it lives happily inside a shared const Session.
+  /// Cross-request solo-signature memo (every static datalog); thread-safe,
+  /// so it lives happily inside a shared const Session.
   std::unique_ptr<SignatureMemo> memo;
   /// Cross-request critical-path-trace memo (thread-safe, like `memo`).
   std::unique_ptr<TraceMemo> traces;
   /// Cross-request composite-signature memo for the multiplet search
-  /// (full-window datalogs only; thread-safe, like `memo`).
+  /// (every static datalog; thread-safe, like `memo`).
   std::unique_ptr<CompositeMemo> composites;
   /// Shared propagator good-machine state (net-major [net][stride] values
-  /// + PO response); read-only after load, reused by every full-window context
+  /// + PO response); read-only after load, reused by every static context
   /// so requests skip the per-request whole-circuit good simulation.
   std::shared_ptr<const PropagatorBaseline> baseline;
-  /// Persistent dictionary store for this exact (netlist, patterns), if
-  /// the cache's store directory held a matching valid file; also wired
-  /// into `memo` as its disk tier. mmapped bytes are NOT charged against
-  /// the cache budget — they live in the page cache, not the heap. This
-  /// member is the reader attached at LOAD time; a background refresh may
-  /// swap a newer one into the memo (memo->store_reader() is current).
-  std::shared_ptr<const store::DictReader> dict;
   /// Store-miss journal (workload-learned universes), present iff the
   /// cache has a store directory; wired into `memo` so every simulated
   /// signature is recorded for the next refresh. Fail-open.

@@ -1,6 +1,7 @@
-// CompositeMemo key tests: member-order-independent keys and window
-// separation. Eviction is covered for all three session memos by
-// test_memo_eviction.cpp.
+// CompositeMemo key tests: member-order-independent keys. That a
+// truncated context reads its composites correctly out of full-set
+// entries is pinned in test_memo_cut.cpp. Eviction is covered for all
+// three session memos by test_memo_eviction.cpp.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -33,24 +34,6 @@ TEST(CompositeMemo, KeyIsOrderIndependent) {
   const auto sig = make_signature(4);
   memo.store(CompositeKey(ab), sig);
   EXPECT_EQ(memo.lookup(CompositeKey(ba)).get(), sig.get());
-}
-
-TEST(CompositeMemo, WindowLengthSeparatesKeys) {
-  // The same member set propagated over a truncated window is a different
-  // composite — sharing one entry would serve a full-window signature to
-  // an ATE-truncated context.
-  const Fault a = Fault::stem_sa(3, true);
-  const Fault b = Fault::stem_sa(9, false);
-  const Fault ab[2] = {a, b};
-  EXPECT_NE(CompositeKey(ab, 64), CompositeKey(ab, 32));
-
-  CompositeMemo memo(1 << 20);
-  const auto full = make_signature(4);
-  const auto truncated = make_signature(2);
-  memo.store(CompositeKey(ab, 64), full);
-  memo.store(CompositeKey(ab, 32), truncated);
-  EXPECT_EQ(memo.lookup(CompositeKey(ab, 64)).get(), full.get());
-  EXPECT_EQ(memo.lookup(CompositeKey(ab, 32)).get(), truncated.get());
 }
 
 }  // namespace

@@ -23,15 +23,12 @@
 namespace mdd {
 namespace {
 
-/// Window length shared by the fixed-shape signatures below.
-constexpr std::size_t kWindow = 64;
-
 /// Every value below has 8 items (failing patterns or faults), so every
 /// entry of one memo costs the same and the eviction arithmetic is exact.
 constexpr std::size_t kItems = 8;
 
 std::shared_ptr<const ErrorSignature> make_signature() {
-  auto sig = std::make_shared<ErrorSignature>(kWindow, 4);
+  auto sig = std::make_shared<ErrorSignature>(64, 4);
   const std::vector<Word> mask(sig->n_po_words(), Word{1});
   for (std::size_t p = 0; p < kItems; ++p)
     sig->append(static_cast<std::uint32_t>(p), mask);
@@ -50,11 +47,9 @@ struct SignatureMemoCase {
   static constexpr const char* kMetrics = "memo.signature";
   static Value make_value() { return make_signature(); }
   static void store(Memo& m, std::size_t n, Value v) {
-    m.store(nth_fault(n), kWindow, std::move(v));
+    m.store(nth_fault(n), std::move(v));
   }
-  static Value lookup(Memo& m, std::size_t n) {
-    return m.lookup(nth_fault(n), kWindow);
-  }
+  static Value lookup(Memo& m, std::size_t n) { return m.lookup(nth_fault(n)); }
   static std::size_t items(const Value& v) { return v->n_failing_patterns(); }
 };
 

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <vector>
 
 #include "fsim/propagate.hpp"
 #include "netlist/generator.hpp"
+#include "sim/kernel.hpp"
 
 namespace mdd {
 namespace {
@@ -65,6 +67,49 @@ TEST(Propagator, MatchesPairMachineForTransitions) {
     const Fault f = Fault::stem_sa(rng() % nl.n_nets(), rng() & 1);
     ASSERT_EQ(prop.signature(f), reference.signature(f)) << to_string(f, nl);
   }
+}
+
+/// The first `n` patterns of `patterns`.
+PatternSet prefix_of(const PatternSet& patterns, std::size_t n) {
+  PatternSet prefix(0, patterns.n_signals());
+  for (std::size_t p = 0; p < n; ++p) prefix.append(patterns.pattern(p));
+  return prefix;
+}
+
+TEST(Propagator, PrefixQueryMatchesAPropagatorOverThePrefix) {
+  // A prefix query on the full pattern set (shared baseline) must equal a
+  // propagator built over just the prefix, shape included, on every
+  // kernel: prefixes inside a block, on block and lane-group edges, and
+  // across groups; stuck-at and bridge faults.
+  const Netlist nl = make_named_circuit("g200");
+  const PatternSet patterns = PatternSet::random(600, nl.n_inputs(), 15);
+  const auto baseline = SingleFaultPropagator::make_baseline(nl, patterns);
+  std::vector<Fault> faults;
+  const std::vector<Fault> stuck = all_stuck_at_faults(nl);
+  for (std::size_t i = 0; i < stuck.size(); i += 7) faults.push_back(stuck[i]);
+  BridgeUniverseConfig cfg;
+  cfg.count = 30;
+  cfg.seed = 4;
+  for (const Fault& f : sample_bridge_faults(nl, cfg)) faults.push_back(f);
+  for (const SimKernel* kernel : available_kernels()) {
+    SingleFaultPropagator full(nl, patterns, baseline, *kernel);
+    for (const std::size_t n : {1, 37, 64, 65, 200, 511, 512, 513, 600}) {
+      const PatternSet prefix = prefix_of(patterns, n);
+      SingleFaultPropagator reference(nl, prefix, *kernel);
+      for (const Fault& f : faults)
+        ASSERT_EQ(full.signature(f, n), reference.signature(f))
+            << kernel->name << ", n=" << n << ", " << to_string(f, nl);
+    }
+  }
+  // The feedback fallback answers prefix queries too.
+  const Netlist c17 = make_c17();
+  const PatternSet all = PatternSet::exhaustive(5);
+  const Fault feedback =
+      Fault::bridge_dom(c17.find_net("16"), c17.find_net("11"));
+  const PatternSet prefix = prefix_of(all, 20);
+  SingleFaultPropagator full(c17, all);
+  SingleFaultPropagator reference(c17, prefix);
+  EXPECT_EQ(full.signature(feedback, 20), reference.signature(feedback));
 }
 
 TEST(Propagator, StateCleanBetweenQueries) {

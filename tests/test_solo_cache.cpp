@@ -109,7 +109,7 @@ TEST(SoloCacheStress, PartiallyLazyThenParallelWarm) {
 
 TEST(SoloCacheStress, LookupsMinusComputesCountsSlotsServedWithoutSimulation) {
   const CacheCase c = make_case();
-  server::SignatureMemo memo(64ull << 20, c.patterns.n_patterns());
+  server::SignatureMemo memo(64ull << 20);
   // Warm the memo with a second datalog whose candidates overlap this
   // one's only in part.
   FaultSimulator fsim(c.netlist, c.patterns);
@@ -184,7 +184,7 @@ TEST(SoloCacheStress, ThreadsSharingOneMemoMatchFreshSimulation) {
     expected.push_back(std::move(sigs));
   }
 
-  server::SignatureMemo memo(64ull << 20, c.patterns.n_patterns());
+  server::SignatureMemo memo(64ull << 20);
   obs::Counter& memo_hits = obs::registry().counter("memo.signature.hits");
   const std::uint64_t hits_before = memo_hits.value();
   constexpr std::size_t kThreads = 4;

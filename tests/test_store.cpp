@@ -365,7 +365,6 @@ TEST(StoreMemo, DiskTierPromotesIntoMemoryTier) {
   server::SignatureMemo memo;
   memo.set_store(dict);
 
-  const std::size_t full = dict->n_patterns();
   const Fault fault = f.universe.front();
   const auto count = [](const char* name) {
     return obs::registry().counter(name).value();
@@ -374,9 +373,9 @@ TEST(StoreMemo, DiskTierPromotesIntoMemoryTier) {
   const std::uint64_t store_misses = count("store.misses");
   const std::uint64_t memo_hits = count("memo.signature.hits");
   const std::uint64_t memo_misses = count("memo.signature.misses");
-  const auto first = memo.lookup(fault, full);
+  const auto first = memo.lookup(fault);
   ASSERT_NE(first, nullptr) << "store should answer the memory miss";
-  const auto second = memo.lookup(fault, full);
+  const auto second = memo.lookup(fault);
   ASSERT_NE(second, nullptr);
   EXPECT_EQ(second.get(), first.get())
       << "second lookup must be the promoted in-memory object";
@@ -388,7 +387,7 @@ TEST(StoreMemo, DiskTierPromotesIntoMemoryTier) {
   EXPECT_EQ(count("memo.signature.misses") - memo_misses, 0u);
 
   // A fault the store lacks is a miss on both tiers.
-  EXPECT_EQ(memo.lookup(Fault::slow_to_rise(0), full), nullptr);
+  EXPECT_EQ(memo.lookup(Fault::slow_to_rise(0)), nullptr);
   EXPECT_EQ(count("store.misses") - store_misses, 1u);
   EXPECT_EQ(count("memo.signature.misses") - memo_misses, 1u);
 }
@@ -396,45 +395,43 @@ TEST(StoreMemo, DiskTierPromotesIntoMemoryTier) {
 TEST(StoreMemo, EachAnswerCountsOnceInItsTier) {
   // perfbench derives the memo and store hit ratios from these registry
   // counters, so what each answer counts is pinned here: a .mdds answer
-  // is a store hit (neither a memo hit nor a miss), a window-restricted
-  // answer is a memo hit, and only an answer no tier gives is a miss.
+  // is a store hit (neither a memo hit nor a miss), its promoted copy
+  // answers later lookups as a memo hit, and only an answer no tier
+  // gives is a miss.
   const StoreFixture f = StoreFixture::make("memo-counting");
   const auto dict = DictReader::open(f.path);
-  const std::size_t full = dict->n_patterns();
-  server::SignatureMemo memo(1 << 20, full);
+  server::SignatureMemo memo(1 << 20);
   memo.set_store(dict);
 
   struct Counts {
-    std::uint64_t memo_hits, memo_misses, store_hits, restricts;
+    std::uint64_t memo_hits, memo_misses, store_hits;
   };
   const auto counts = [] {
     auto& r = obs::registry();
     return Counts{r.counter("memo.signature.hits").value(),
                   r.counter("memo.signature.misses").value(),
-                  r.counter("store.hits").value(),
-                  r.counter("memo.signature.window_restricts").value()};
+                  r.counter("store.hits").value()};
   };
   const auto expect_delta = [&](const Counts& before, Counts want) {
     const Counts now = counts();
     EXPECT_EQ(now.memo_hits - before.memo_hits, want.memo_hits);
     EXPECT_EQ(now.memo_misses - before.memo_misses, want.memo_misses);
     EXPECT_EQ(now.store_hits - before.store_hits, want.store_hits);
-    EXPECT_EQ(now.restricts - before.restricts, want.restricts);
   };
 
   const Fault fault = f.universe.front();
   Counts before = counts();
-  ASSERT_NE(memo.lookup(fault, full), nullptr);
-  expect_delta(before, {0, 0, 1, 0});
+  ASSERT_NE(memo.lookup(fault), nullptr);
+  expect_delta(before, {0, 0, 1});
 
-  // The store answer was promoted; a shorter window restricts it.
+  // The store answer was promoted; the next lookup is a memory hit.
   before = counts();
-  ASSERT_NE(memo.lookup(fault, full / 2), nullptr);
-  expect_delta(before, {1, 0, 0, 1});
+  ASSERT_NE(memo.lookup(fault), nullptr);
+  expect_delta(before, {1, 0, 0});
 
   before = counts();
-  EXPECT_EQ(memo.lookup(Fault::slow_to_rise(0), full), nullptr);
-  expect_delta(before, {0, 1, 0, 0});
+  EXPECT_EQ(memo.lookup(Fault::slow_to_rise(0)), nullptr);
+  expect_delta(before, {0, 1, 0});
 }
 
 TEST(StoreMemo, BatchLookupMatchesSingleLookupsKeyForKey) {
@@ -444,15 +441,13 @@ TEST(StoreMemo, BatchLookupMatchesSingleLookupsKeyForKey) {
   // tiers move, the footprints and the journaled misses must all agree.
   const StoreFixture f = StoreFixture::make("memo-batch");
   const auto dict = DictReader::open(f.path);
-  const std::size_t full = dict->n_patterns();
-  const std::size_t half = full / 2;
   ASSERT_GE(f.universe.size(), 4u);
   SingleFaultPropagator prop(f.netlist, f.patterns);
 
   // One memo per side, each with its own journal file.
   struct Twin {
-    Twin(std::size_t window, const std::string& journal_path)
-        : memo(1 << 20, window),
+    explicit Twin(const std::string& journal_path)
+        : memo(1 << 20),
           journal(std::make_shared<FaultJournal>(journal_path, 1, 2)) {}
     server::SignatureMemo memo;
     std::shared_ptr<FaultJournal> journal;
@@ -460,14 +455,13 @@ TEST(StoreMemo, BatchLookupMatchesSingleLookupsKeyForKey) {
   const auto make_twin = [&](const std::string& tag) {
     const std::string path = ::testing::TempDir() + "batch_" + tag + ".journal";
     std::remove(path.c_str());
-    auto t = std::make_unique<Twin>(full, path);
+    auto t = std::make_unique<Twin>(path);
     t->memo.set_store(dict);
     t->memo.set_journal(t->journal);
-    // Memory tier: two faults known at the full window.
+    // Memory tier: two faults known.
     for (std::size_t u = 0; u < 2; ++u)
-      t->memo.store(f.universe[u], full,
-                    std::make_shared<const ErrorSignature>(
-                        prop.signature(f.universe[u])));
+      t->memo.store(f.universe[u], std::make_shared<const ErrorSignature>(
+                                       prop.signature(f.universe[u])));
     return t;
   };
   const auto batch = make_twin("batch");
@@ -476,23 +470,19 @@ TEST(StoreMemo, BatchLookupMatchesSingleLookupsKeyForKey) {
   const Fault unknown = Fault::slow_to_rise(0);  // in no tier
   const std::vector<Fault> faults{
       f.universe[0],  // memory hit
-      f.universe[1],  // window restriction from memory
-      f.universe[2],  // window restriction from .mdds
+      f.universe[1],  // memory hit
+      f.universe[2],  // .mdds decode
       f.universe[3],  // .mdds decode
       f.universe[3],  // the decode's promotion, now a memory hit
       unknown,        // miss
-      f.universe[2],  // restricted entry admitted under its key
+      f.universe[2],  // promoted earlier in the same batch
   };
-  const std::vector<std::size_t> windows{full, half, half, full,
-                                         full, full, half};
-  ASSERT_EQ(faults.size(), windows.size());
 
   const std::vector<std::string> names{
       "memo.signature.hits",     "memo.signature.misses",
       "memo.signature.inserts",  "memo.signature.evictions",
-      "memo.signature.declined", "memo.signature.window_restricts",
-      "store.hits",              "store.misses",
-      "store.decode_failures"};
+      "memo.signature.declined", "store.hits",
+      "store.misses",            "store.decode_failures"};
   const auto counters = [&] {
     std::vector<std::uint64_t> v;
     for (const std::string& n : names)
@@ -506,39 +496,24 @@ TEST(StoreMemo, BatchLookupMatchesSingleLookupsKeyForKey) {
     return d;
   };
 
-  // lookup_many takes one window per call: one batch per window shape,
-  // in the same order for both twins.
   std::vector<std::shared_ptr<const ErrorSignature>> got_batch(faults.size());
   std::vector<std::shared_ptr<const ErrorSignature>> got_single(
       faults.size());
   auto before = counters();
-  for (const std::size_t w : {full, half}) {
-    std::vector<Fault> keys;
-    std::vector<std::size_t> slots;
-    for (std::size_t k = 0; k < faults.size(); ++k)
-      if (windows[k] == w) {
-        keys.push_back(faults[k]);
-        slots.push_back(k);
-      }
-    std::vector<std::shared_ptr<const ErrorSignature>> out(keys.size());
-    batch->memo.lookup_many(keys, w, out);
-    for (std::size_t j = 0; j < slots.size(); ++j) got_batch[slots[j]] = out[j];
-  }
+  batch->memo.lookup_many(faults, got_batch);
   const auto batch_delta = delta(before, counters());
 
   before = counters();
-  for (const std::size_t w : {full, half})
-    for (std::size_t k = 0; k < faults.size(); ++k)
-      if (windows[k] == w) got_single[k] = single->memo.lookup(faults[k], w);
+  for (std::size_t k = 0; k < faults.size(); ++k)
+    got_single[k] = single->memo.lookup(faults[k]);
   const auto single_delta = delta(before, counters());
 
   for (std::size_t i = 0; i < names.size(); ++i)
     EXPECT_EQ(batch_delta[i], single_delta[i]) << names[i];
   EXPECT_GT(batch_delta[0], 0u) << "memo hits";
   EXPECT_GT(batch_delta[1], 0u) << "memo misses";
-  EXPECT_GT(batch_delta[5], 0u) << "window restricts";
-  EXPECT_GT(batch_delta[6], 0u) << "store hits";
-  EXPECT_GT(batch_delta[7], 0u) << "store misses";
+  EXPECT_GT(batch_delta[5], 0u) << "store hits";
+  EXPECT_GT(batch_delta[6], 0u) << "store misses";
 
   for (std::size_t k = 0; k < faults.size(); ++k) {
     ASSERT_EQ(got_batch[k] == nullptr, got_single[k] == nullptr) << "key " << k;
@@ -559,9 +534,8 @@ TEST(StoreMemo, BatchLookupMatchesSingleLookupsKeyForKey) {
           const std::vector<std::shared_ptr<const ErrorSignature>>& got) {
         for (std::size_t k = 0; k < faults.size(); ++k)
           if (got[k] == nullptr)
-            t.memo.store(faults[k], windows[k],
-                         std::make_shared<const ErrorSignature>(
-                             prop.signature(faults[k])));
+            t.memo.store(faults[k], std::make_shared<const ErrorSignature>(
+                                        prop.signature(faults[k])));
       };
   write_back_misses(*batch, got_batch);
   write_back_misses(*single, got_single);
@@ -571,45 +545,51 @@ TEST(StoreMemo, BatchLookupMatchesSingleLookupsKeyForKey) {
   EXPECT_EQ(batch->journal->pending_faults(), journaled);
 }
 
-TEST(StoreMemo, DiskTierRestrictsForTruncatedWindows) {
-  // ATE-truncated datalogs ask for a shorter window than the dictionary
-  // simulated; the memo must serve the restriction of the stored
-  // full-window signature, shape included — byte-identical to simulating
-  // over the short window directly.
+TEST(StoreWarm, TruncatedContextCutsStoreAnswersToItsWindow) {
+  // The .mdds store holds full-set signatures; an ATE-truncated (and
+  // X-masked) datalog's context must cut every store-served slot to its
+  // applied window, shape included — byte-identical to simulating over
+  // the window directly and subtracting the mask.
   const StoreFixture f = StoreFixture::make("memo-truncated");
   const auto dict = DictReader::open(f.path);
   server::SignatureMemo memo;
   memo.set_store(dict);
 
-  const std::size_t full = dict->n_patterns();
-  ASSERT_GT(full, 1u);
-  const std::size_t short_window = full / 2;
+  FaultSimulator fsim(f.netlist, f.patterns);
+  const std::vector<Fault> defect{
+      Fault::stem_sa(f.netlist.n_nets() / 3, false),
+      Fault::stem_sa(f.netlist.n_nets() / 2, true)};
+  DatalogOptions options;
+  options.max_failing_patterns = 3;
+  options.x_mask_fraction = 0.05;
+  const Datalog log = datalog_from_defect(f.netlist, defect, f.patterns,
+                                          fsim.good_response(), options);
+  ASSERT_LT(log.n_patterns_applied, f.patterns.n_patterns());
 
-  // Pick a fault that actually fails somewhere so the comparison bites.
-  SingleFaultPropagator prop_full(f.netlist, f.patterns);
-  Fault fault = f.universe.front();
-  for (const Fault& u : f.universe) {
-    if (!prop_full.signature(u).empty()) {
-      fault = u;
-      break;
-    }
-  }
-
-  obs::Counter& restricts =
-      obs::registry().counter("memo.signature.window_restricts");
-  const std::uint64_t restricts_before = restricts.value();
-  const auto served = memo.lookup(fault, short_window);
-  ASSERT_NE(served, nullptr);
-  EXPECT_EQ(served->n_patterns(), short_window);
+  DiagnosisContext ctx(f.netlist, f.patterns, log);
+  ctx.attach_solo_store(&memo);
+  obs::Counter& store_hits = obs::registry().counter("store.hits");
+  const std::uint64_t hits_before = store_hits.value();
+  ASSERT_GT(ctx.warm_solo_from_store(), 0u);
+  EXPECT_EQ(ctx.solo_compute_count(), 0u);
+  EXPECT_GT(store_hits.value(), hits_before);
 
   PatternSet window(0, f.patterns.n_signals());
-  for (std::size_t p = 0; p < short_window; ++p)
+  for (std::size_t p = 0; p < log.n_patterns_applied; ++p)
     window.append(f.patterns.pattern(p));
   SingleFaultPropagator prop(f.netlist, window);
-  EXPECT_EQ(*served, prop.signature(fault))
-      << "restricted store answer must match a fresh short-window "
-         "simulation exactly";
-  EXPECT_GT(restricts.value(), restricts_before);
+  const ErrorSignature masked =
+      restrict_signature(log.masked, log.n_patterns_applied);
+  std::size_t failing = 0;
+  for (std::size_t i = 0; i < ctx.n_candidates(); ++i) {
+    const ErrorSignature want =
+        signature_difference(prop.signature(ctx.candidate(i)), masked);
+    const ErrorSignature& got = ctx.solo_signature(i);
+    EXPECT_EQ(got.n_patterns(), log.n_patterns_applied) << "slot " << i;
+    EXPECT_EQ(got, want) << "slot " << i;
+    failing += got.empty() ? 0 : 1;
+  }
+  EXPECT_GT(failing, 0u) << "the comparison must bite on failing slots";
 }
 
 }  // namespace

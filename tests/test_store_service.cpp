@@ -121,7 +121,6 @@ TEST(StoreService, FirstDiagnoseIsStoreServedAndByteIdentical) {
   EXPECT_GT(store_stats->get_number("bytes_mapped", 0), 0);
 
   const auto& session = *stored.cache().get(f.netlist_path, f.patterns_path);
-  ASSERT_NE(session.dict, nullptr);
   ASSERT_TRUE(session.memo->has_store());
 }
 
@@ -200,7 +199,6 @@ TEST(StoreService, CorruptStoreFileDegradesToPlainServing) {
   EXPECT_EQ(store_stats->get_number("sessions", -1), 0)
       << "the corrupt file must not be attached";
   const auto& session = *stored.cache().get(f.netlist_path, f.patterns_path);
-  EXPECT_EQ(session.dict, nullptr);
   EXPECT_FALSE(session.memo->has_store());
 }
 
@@ -316,6 +314,12 @@ TEST(StoreService, BackgroundRefreshFoldsJournalWithoutRestart) {
   const std::uint64_t refreshes_before =
       obs::registry().counter("store.refreshes").value();
   DiagnosisService service(options);
+  // The session loads with the prebuilt store; nothing is journaled yet,
+  // so no refresh can run before the first request.
+  const auto& session = *service.cache().get(f.netlist_path, f.patterns_path);
+  ASSERT_TRUE(session.memo->has_store());
+  const std::size_t entries_at_load =
+      session.memo->store_reader()->n_entries();
 
   const Json first = service.handle(f.diagnose_request("multiplet"));
   ASSERT_EQ(first.get_string("status"), "ok");
@@ -327,7 +331,6 @@ TEST(StoreService, BackgroundRefreshFoldsJournalWithoutRestart) {
   // remainder survives for the next round by design — so wait until the
   // journal fully drains, not just for the first refresh. Generous
   // deadline: sanitizer builds fold slowly.
-  const auto& session = *service.cache().get(f.netlist_path, f.patterns_path);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(60);
   double refreshes = 0;
@@ -345,10 +348,8 @@ TEST(StoreService, BackgroundRefreshFoldsJournalWithoutRestart) {
   // Folded: the journal drained, and the session's serving reader was
   // swapped for the merged store — without dropping the session.
   EXPECT_EQ(session.journal->pending(), 0u);
-  ASSERT_NE(session.dict, nullptr);
   ASSERT_TRUE(session.memo->has_store());
-  EXPECT_GT(session.memo->store_reader()->n_entries(),
-            session.dict->n_entries())
+  EXPECT_GT(session.memo->store_reader()->n_entries(), entries_at_load)
       << "the swapped reader must hold the learned faults";
 
   // The same request again answers byte-identically off the new reader.

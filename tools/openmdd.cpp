@@ -36,6 +36,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,9 +46,7 @@
 #include "core/cancel.hpp"
 #include "core/exec.hpp"
 #include "core/version.hpp"
-#include "diag/multiplet.hpp"
-#include "diag/single_fault.hpp"
-#include "diag/slat.hpp"
+#include "diag/method.hpp"
 #include "fault/collapse.hpp"
 #include "fsim/fsim.hpp"
 #include "netlist/bench_parser.hpp"
@@ -409,25 +408,12 @@ int cmd_diagnose(const Args& args) {
     }
   }
 
+  const std::span<const DiagnosisMethod> methods = methods_named(method);
   DiagnosisContext ctx(nl, patterns, log);
   if (!exec.is_serial()) ctx.warm_solo_signatures(exec, cancel);
   std::vector<DiagnosisReport> reports;
-  if (method == "multiplet" || method == "all") {
-    MultipletOptions opt;
-    opt.cancel = cancel;
-    reports.push_back(diagnose_multiplet(ctx, opt));
-  }
-  if (method == "slat" || method == "all") {
-    SlatOptions opt;
-    opt.cancel = cancel;
-    reports.push_back(diagnose_slat(ctx, opt));
-  }
-  if (method == "single" || method == "all") {
-    SingleFaultOptions opt;
-    opt.cancel = cancel;
-    reports.push_back(diagnose_single_fault(ctx, opt));
-  }
-  if (reports.empty()) throw std::runtime_error("unknown method " + method);
+  for (const DiagnosisMethod& m : methods)
+    reports.push_back(m.run(ctx, cancel));
 
   if (format == "json") {
     // Same serializer as the serving path (src/server/result_json.cpp),
