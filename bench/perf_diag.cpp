@@ -48,6 +48,9 @@ Fixture& fixture() {
   return f;
 }
 
+// Cold extraction: no trace store and no baseline, so every failing
+// pattern is simulated and traced, and the good machine is built per call.
+// The daemon never runs this path (see BM_CandidateExtractionServed).
 void BM_CandidateExtraction(benchmark::State& state) {
   Fixture& f = fixture();
   for (auto _ : state) {
@@ -56,6 +59,56 @@ void BM_CandidateExtraction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CandidateExtraction);
+
+/// The served g1k-distinct extraction shape: distinct g1k datalogs
+/// (k=2..6, a quarter of the members bridges) whose critical-path traces
+/// already sit in the session's trace memo, read against the session's
+/// baseline.
+struct ServedExtractFixture {
+  BenchCircuit bc = load_bench_circuit("g1k");
+  FaultSimulator fsim{bc.netlist, bc.patterns};
+  std::shared_ptr<const PropagatorBaseline> baseline =
+      SingleFaultPropagator::make_baseline(bc.netlist, bc.patterns);
+  server::TraceMemo traces;
+  std::vector<Datalog> logs;
+
+  ServedExtractFixture() {
+    CandidateOptions opt;
+    opt.trace_store = &traces;
+    for (std::size_t k = 2; k <= 6; ++k) {
+      CorpusConfig cfg;
+      cfg.n_cases = 4;
+      cfg.defect.multiplicity = k;
+      cfg.defect.bridge_fraction = 0.25;
+      cfg.seed = 96 + k;
+      for (const LoadgenCase& c : make_corpus(bc.netlist, bc.patterns,
+                                              fsim.good_response(), cfg)) {
+        std::istringstream in(c.datalog_text);
+        logs.push_back(read_datalog(in, bc.netlist));
+        // Warms the trace memo.
+        extract_candidates(bc.netlist, bc.patterns, logs.back(), opt,
+                           baseline.get());
+      }
+    }
+  }
+};
+
+// Served extraction: every trace a memo hit, good values from the shared
+// baseline, so what is timed is the support tally, the bridge-candidate
+// pass and the cap. One iteration is one datalog, cycling the corpus.
+void BM_CandidateExtractionServed(benchmark::State& state) {
+  static ServedExtractFixture f;
+  CandidateOptions opt;
+  opt.trace_store = &f.traces;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        extract_candidates(f.bc.netlist, f.bc.patterns,
+                           f.logs[next++ % f.logs.size()], opt,
+                           f.baseline.get()));
+  }
+}
+BENCHMARK(BM_CandidateExtractionServed)->Unit(benchmark::kMillisecond);
 
 void BM_ContextConstruction(benchmark::State& state) {
   Fixture& f = fixture();

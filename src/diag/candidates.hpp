@@ -11,10 +11,15 @@
 // non-feedback partner nets give dominant-bridge candidates with the
 // suspect as victim. A structural back-cone fallback covers the corner
 // where CPT's classical multi-controlling-input rule under-approximates.
+//
+// The traced patterns' good values come from a `PropagatorBaseline` (the
+// session's, when served); a pattern is simulated one at a time only
+// when a trace-store miss needs critical path tracing.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "diag/datalog.hpp"
@@ -22,6 +27,8 @@
 #include "sim/patterns.hpp"
 
 namespace mdd {
+
+struct PropagatorBaseline;
 
 /// Cross-case store for critical-path traces. The critical fault set of a
 /// failing (pattern, output) pair depends only on (netlist, patterns) —
@@ -31,10 +38,28 @@ namespace mdd {
 /// what a fresh trace would produce.
 class CptTraceStore {
  public:
+  /// One failing (pattern, output) pair.
+  struct Key {
+    std::uint32_t pattern;
+    std::uint32_t po;
+  };
+
   virtual ~CptTraceStore() = default;
-  /// Cached critical faults for (pattern, output), or null on miss.
-  virtual std::shared_ptr<const std::vector<Fault>> lookup(
-      std::uint32_t pattern, std::uint32_t po) = 0;
+  /// Batch lookup: `out[k]` becomes the cached critical faults of
+  /// `keys[k]`, or null on miss. One call per datalog, so a locking store
+  /// locks once per datalog rather than once per failing output.
+  /// `out.size()` must equal `keys.size()`.
+  virtual void lookup_many(
+      std::span<const Key> keys,
+      std::span<std::shared_ptr<const std::vector<Fault>>> out) = 0;
+  /// One-key lookup_many.
+  std::shared_ptr<const std::vector<Fault>> lookup(std::uint32_t pattern,
+                                                   std::uint32_t po) {
+    const Key key{pattern, po};
+    std::shared_ptr<const std::vector<Fault>> faults;
+    lookup_many({&key, 1}, {&faults, 1});
+    return faults;
+  }
   /// Offers a freshly traced set; the store may decline (full).
   virtual void store(std::uint32_t pattern, std::uint32_t po,
                      std::shared_ptr<const std::vector<Fault>> faults) = 0;
@@ -66,10 +91,17 @@ struct CandidatePool {
   std::vector<std::uint32_t> support;
 };
 
+/// Static-test extraction. `baseline`, if given, must be
+/// SingleFaultPropagator::make_baseline(netlist, P) for a pattern set P
+/// that `patterns` is a prefix of (the serving session's full set when
+/// `patterns` is a datalog's applied window); null builds one for
+/// `patterns`. Throws std::invalid_argument when a failing pattern lies
+/// past `patterns`.
 CandidatePool extract_candidates(const Netlist& netlist,
                                  const PatternSet& patterns,
                                  const Datalog& datalog,
-                                 const CandidateOptions& options = {});
+                                 const CandidateOptions& options = {},
+                                 const PropagatorBaseline* baseline = nullptr);
 
 /// Pair-testing (transition) variant: traces capture-frame failures; every
 /// critical stem whose value moved between launch and capture additionally

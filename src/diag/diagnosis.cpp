@@ -57,22 +57,23 @@ DiagnosisContext::DiagnosisContext(
   diag_metrics().contexts.inc();
   {
     std::optional<obs::Trace::Span> span;
-    if (trace != nullptr) span.emplace(trace->span("extract"));
-    pool_ = extract_candidates(netlist, window_, datalog, candidate_options);
-  }
-  for (std::size_t i = 0; i < pool_.faults.size(); ++i)
-    solo_cache_.emplace_back();
-  {
-    std::optional<obs::Trace::Span> span;
     if (trace != nullptr) span.emplace(trace->span("baseline"));
     // One engine on the full set whatever the window, so every context
     // shares the session's baseline; solo queries simulate just the window.
-    baseline_ = std::move(baseline);
-    if (baseline_ != nullptr)
-      propagator_.emplace(netlist, patterns, baseline_);
-    else
-      propagator_.emplace(netlist, patterns);
+    baseline_ = baseline != nullptr
+                    ? std::move(baseline)
+                    : SingleFaultPropagator::make_baseline(netlist, patterns);
+    propagator_.emplace(netlist, patterns, baseline_);
   }
+  {
+    std::optional<obs::Trace::Span> span;
+    if (trace != nullptr) span.emplace(trace->span("extract"));
+    // The traced patterns' good values are the baseline's rows.
+    pool_ = extract_candidates(netlist, window_, datalog, candidate_options,
+                               baseline_.get());
+  }
+  for (std::size_t i = 0; i < pool_.faults.size(); ++i)
+    solo_cache_.emplace_back();
   // Static contexts always admit the cross-case memos: cut_unobserved
   // tailors their full-set, pre-masking entries to this datalog.
   memo_attachable_ = true;
@@ -209,10 +210,8 @@ void DiagnosisContext::warm_solo_signatures(const ExecPolicy& policy,
                                 ? SingleFaultPropagator(*netlist_,
                                                         launch_window_,
                                                         window_)
-                            : baseline_ != nullptr
-                                ? SingleFaultPropagator(*netlist_, *patterns_,
-                                                        baseline_)
-                                : SingleFaultPropagator(*netlist_, *patterns_);
+                                : SingleFaultPropagator(*netlist_, *patterns_,
+                                                        baseline_);
                         CancelCheckpoint cp(cancel, 8);
                         for (std::size_t i = begin; i < end; ++i) {
                           if (cp()) {

@@ -114,10 +114,12 @@ class DiagnosisContext {
   /// once per circuit); only the reference composite simulator reads it.
   /// `baseline`, if given, must be SingleFaultPropagator::make_baseline(
   /// netlist, patterns) — shared, not copied, sparing each context the
-  /// full-circuit good simulation. `netlist`, `patterns`, `datalog` and
-  /// `precomputed_good` must outlive the context. `trace`, if non-null,
-  /// receives nested "extract" / "baseline" spans covering candidate
-  /// extraction and simulation-engine setup.
+  /// full-circuit good simulation; null builds one. Candidate extraction
+  /// reads its traced patterns' good values from it. `netlist`,
+  /// `patterns`, `datalog` and `precomputed_good` must outlive the
+  /// context. `trace`, if non-null, receives nested "baseline" /
+  /// "extract" spans covering simulation-engine setup and candidate
+  /// extraction.
   DiagnosisContext(
       const Netlist& netlist, const PatternSet& patterns,
       const Datalog& datalog, const CandidateOptions& candidate_options = {},
@@ -272,8 +274,8 @@ class DiagnosisContext {
   CompositeMemo local_composites_{32ull << 20};
   CompositeMemo* composites_ = &local_composites_;
   bool reference_composites_ = false;
-  /// Shared good-machine state for the static propagators (null means
-  /// each propagator computes its own).
+  /// Shared good-machine state for the static propagators and candidate
+  /// extraction (null in pair mode).
   std::shared_ptr<const PropagatorBaseline> baseline_;
 };
 

@@ -86,26 +86,41 @@ std::vector<Fault> all_transition_faults(const Netlist& nl) {
   return faults;
 }
 
-bool is_feedback_pair(const Netlist& nl, NetId a, NetId b) {
-  // BFS from the lower-level net only (the other direction cannot reach
-  // backwards in a DAG).
-  const NetId from = nl.level(a) <= nl.level(b) ? a : b;
+bool is_feedback_pair(const Netlist& nl, NetId a, NetId b,
+                      ReachScratch& scratch) {
+  if (a == b) return true;
+  // Levels strictly rise along every edge, so only the lower-level net can
+  // reach the other, and two nets on one level never reach each other.
+  if (nl.level(a) == nl.level(b)) return false;
+  const NetId from = nl.level(a) < nl.level(b) ? a : b;
   const NetId to = (from == a) ? b : a;
-  std::vector<bool> seen(nl.n_nets(), false);
-  std::vector<NetId> stack{from};
-  seen[from] = true;
+  const std::uint32_t limit = nl.level(to);
+  if (scratch.stamp.size() < nl.n_nets()) scratch.stamp.resize(nl.n_nets());
+  if (++scratch.epoch == 0) {  // wrapped: no stale stamp may match
+    std::fill(scratch.stamp.begin(), scratch.stamp.end(), 0);
+    scratch.epoch = 1;
+  }
+  const std::uint32_t epoch = scratch.epoch;
+  std::vector<NetId>& stack = scratch.stack;
+  stack.assign(1, from);
+  scratch.stamp[from] = epoch;
   while (!stack.empty()) {
     const NetId g = stack.back();
     stack.pop_back();
-    if (g == to) return true;
     for (NetId s : nl.fanouts(g)) {
-      if (!seen[s] && nl.level(s) <= nl.level(to)) {
-        seen[s] = true;
+      if (s == to) return true;
+      if (scratch.stamp[s] != epoch && nl.level(s) < limit) {
+        scratch.stamp[s] = epoch;
         stack.push_back(s);
       }
     }
   }
   return false;
+}
+
+bool is_feedback_pair(const Netlist& nl, NetId a, NetId b) {
+  ReachScratch scratch;
+  return is_feedback_pair(nl, a, b, scratch);
 }
 
 std::vector<Fault> sample_bridge_faults(const Netlist& nl,
@@ -116,6 +131,7 @@ std::vector<Fault> sample_bridge_faults(const Netlist& nl,
   std::vector<Fault> faults;
   std::unordered_set<std::uint64_t> seen_pairs;
   std::size_t accepted = 0;
+  ReachScratch reach;
   // Bounded rejection sampling: a tiny or bridge-hostile netlist must not
   // hang the generator.
   for (std::size_t tries = 0; accepted < cfg.count && tries < cfg.count * 200;
@@ -128,7 +144,7 @@ std::vector<Fault> sample_bridge_faults(const Netlist& nl,
         nl.level(lo) > nl.level(hi) ? nl.level(lo) - nl.level(hi)
                                     : nl.level(hi) - nl.level(lo);
     if (gap > cfg.max_level_gap) continue;
-    if (is_feedback_pair(nl, lo, hi)) continue;
+    if (is_feedback_pair(nl, lo, hi, reach)) continue;
     const std::uint64_t key = (std::uint64_t{lo} << 32) | hi;
     if (!seen_pairs.insert(key).second) continue;
     faults.push_back(Fault::bridge_dom(lo, hi));

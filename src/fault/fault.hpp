@@ -108,8 +108,20 @@ std::vector<Fault> all_stuck_at_faults(const Netlist& netlist);
 /// Transition-fault universe: slow-to-rise / slow-to-fall on every net.
 std::vector<Fault> all_transition_faults(const Netlist& netlist);
 
+/// Reusable visit marks for is_feedback_pair: a query stamps the nets it
+/// reaches with a fresh epoch, so it neither clears nor allocates once the
+/// vectors have grown to the netlist. One per thread.
+struct ReachScratch {
+  std::vector<std::uint32_t> stamp;
+  std::uint32_t epoch = 0;
+  std::vector<NetId> stack;
+};
+
 /// True if dominating/bridging `a` and `b` would create a feedback loop
-/// (one net lies in the other's fan-out cone).
+/// (one net lies in the other's fan-out cone, or a == b).
+bool is_feedback_pair(const Netlist& netlist, NetId a, NetId b,
+                      ReachScratch& scratch);
+/// As above with a scratch of its own (one allocation per call).
 bool is_feedback_pair(const Netlist& netlist, NetId a, NetId b);
 
 struct BridgeUniverseConfig {

@@ -300,7 +300,8 @@ ErrorSignature SingleFaultPropagator::signature(const Fault& fault,
     watch = fault.bridge_net;
   } else if (fault.kind == FaultKind::BridgeWAnd ||
              fault.kind == FaultKind::BridgeWOr) {
-    if (is_feedback_pair(*netlist_, fault.net, fault.bridge_net))
+    if (is_feedback_pair(*netlist_, fault.net, fault.bridge_net,
+                         reach_scratch_))
       watch = fault.net;  // force the fallback below via first group
   }
 

@@ -221,6 +221,7 @@ class SingleFaultPropagator {
   std::vector<LaunchRow> launch_faulty_;
   std::size_t pending_ = 0;  ///< enqueued, not yet re-evaluated
   std::unordered_map<std::uint64_t, bool> reach_cache_;
+  ReachScratch reach_scratch_;  ///< wired-bridge feedback checks
 
   FaultyMachine fallback_;
 };

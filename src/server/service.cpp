@@ -140,14 +140,14 @@ Json snapshot_to_json(const obs::Snapshot& snap) {
   for (const obs::GaugeSample& g : snap.gauges) gauges.set(g.name, g.value);
   Json histograms;
   for (const obs::HistogramSample& h : snap.histograms) {
-    Json hist;
-    JsonArray bounds, bins;
-    for (double b : h.bounds) bounds.push_back(b);
-    for (std::uint64_t v : h.bins) bins.push_back(v);
-    hist.set("le", Json(std::move(bounds)));
-    hist.set("bins", Json(std::move(bins)));
-    hist.set("count", h.count);
-    hist.set("sum", h.sum);
+    JsonArray bounds(h.bounds.begin(), h.bounds.end());
+    JsonArray bins(h.bins.begin(), h.bins.end());
+    // Members built in place: no Json is move-assigned from a temporary.
+    JsonObject hist;
+    hist.emplace_back("le", std::move(bounds));
+    hist.emplace_back("bins", std::move(bins));
+    hist.emplace_back("count", h.count);
+    hist.emplace_back("sum", h.sum);
     histograms.set(h.name, std::move(hist));
   }
   Json infos;

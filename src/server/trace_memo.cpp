@@ -15,12 +15,18 @@ std::size_t approx_trace_bytes(
 TraceMemo::TraceMemo(std::size_t max_bytes)
     : cache_(max_bytes, &approx_trace_bytes, "memo.trace") {}
 
-std::shared_ptr<const std::vector<Fault>> TraceMemo::lookup(
-    std::uint32_t pattern, std::uint32_t po) {
+void TraceMemo::lookup_many(
+    std::span<const Key> keys,
+    std::span<std::shared_ptr<const std::vector<Fault>>> out) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (const auto* faults = cache_.find(key(pattern, po))) return *faults;
-  cache_.record_miss();
-  return nullptr;
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    if (const auto* faults = cache_.find(key(keys[k].pattern, keys[k].po))) {
+      out[k] = *faults;
+    } else {
+      cache_.record_miss();
+      out[k] = nullptr;
+    }
+  }
 }
 
 void TraceMemo::store(std::uint32_t pattern, std::uint32_t po,

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "diag/candidates.hpp"
@@ -24,8 +25,11 @@ class TraceMemo final : public CptTraceStore {
  public:
   explicit TraceMemo(std::size_t max_bytes = 64ull << 20);
 
-  std::shared_ptr<const std::vector<Fault>> lookup(std::uint32_t pattern,
-                                                   std::uint32_t po) override;
+  /// Takes the memo mutex once for the whole batch; every key still
+  /// counts one hit or one miss.
+  void lookup_many(
+      std::span<const Key> keys,
+      std::span<std::shared_ptr<const std::vector<Fault>>> out) override;
   void store(std::uint32_t pattern, std::uint32_t po,
              std::shared_ptr<const std::vector<Fault>> faults) override;
 

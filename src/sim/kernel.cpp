@@ -42,7 +42,25 @@ bool cpu_has_avx512() {
 #endif
 }
 
+/// A build with hardware popcount (-mpopcnt, src/CMakeLists.txt) may
+/// execute POPCNT in any translation unit, so one that finds no POPCNT
+/// exits here, at the first kernel query, instead of on an illegal
+/// instruction mid-request.
+void require_build_isa() {
+#if defined(__POPCNT__) && defined(__GNUC__) && \
+    (defined(__x86_64__) || defined(__i386__))
+  if (!__builtin_cpu_supports("popcnt")) {
+    std::fputs(
+        "openmdd: this build uses the POPCNT instruction, which this CPU "
+        "lacks; rebuild with -DMDD_DISABLE_SIMD=ON\n",
+        stderr);
+    std::exit(EXIT_FAILURE);
+  }
+#endif
+}
+
 std::vector<const SimKernel*> probe_kernels() {
+  require_build_isa();
   std::vector<const SimKernel*> out{&kScalarKernel};
   if (const SimKernel* k = detail::avx2_kernel_table(); k && cpu_has_avx2())
     out.push_back(k);

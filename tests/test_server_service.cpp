@@ -325,7 +325,7 @@ TEST(ServiceDeadline, FractionalDeadlineMeansTheSameOnEveryPath) {
 
 TEST(ServiceDeadline, InvalidDeadlineIsRejectedNotIgnored) {
   DiagnosisService service;
-  for (const Json bad :
+  for (const Json& bad :
        {Json(-1.0), Json(std::nan("")),
         Json(std::numeric_limits<double>::infinity()), Json("soon")}) {
     Json request;

@@ -95,9 +95,11 @@ TEST(SignatureProps, MaskOfPatternAgreesWithMaskAndFailingPatterns) {
     // Every non-failing pattern: empty span.
     std::vector<bool> failing(r.sig.n_patterns(), false);
     for (std::uint32_t p : r.patterns) failing[p] = true;
-    for (std::uint32_t p = 0; p < r.sig.n_patterns(); ++p)
-      if (!failing[p])
+    for (std::uint32_t p = 0; p < r.sig.n_patterns(); ++p) {
+      if (!failing[p]) {
         EXPECT_TRUE(r.sig.mask_of_pattern(p).empty()) << "p=" << p;
+      }
+    }
   }
 }
 

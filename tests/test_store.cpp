@@ -517,8 +517,9 @@ TEST(StoreMemo, BatchLookupMatchesSingleLookupsKeyForKey) {
 
   for (std::size_t k = 0; k < faults.size(); ++k) {
     ASSERT_EQ(got_batch[k] == nullptr, got_single[k] == nullptr) << "key " << k;
-    if (got_batch[k] != nullptr)
+    if (got_batch[k] != nullptr) {
       EXPECT_EQ(*got_batch[k], *got_single[k]) << "key " << k;
+    }
   }
   EXPECT_EQ(got_batch[5], nullptr);
 

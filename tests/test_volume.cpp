@@ -171,9 +171,12 @@ TEST(VolumeAggregator, SystematicFractionFloorRoundsUpNotDown) {
   const VolumeSummary s = agg.summarize();
   ASSERT_EQ(s.n_diagnosed, 9u);
   for (const CandidateRecurrence& r : s.recurrences) {
-    if (r.fault == twice)
+    if (r.fault == twice) {
       EXPECT_FALSE(r.systematic) << "2 of 9 is below ceil(0.3*9)=3";
-    if (r.fault == thrice) EXPECT_TRUE(r.systematic);
+    }
+    if (r.fault == thrice) {
+      EXPECT_TRUE(r.systematic);
+    }
   }
   // Top-suspect classification moves with the corrected floor too: the
   // two `twice` datalogs are random, not systematic.
@@ -656,7 +659,7 @@ TEST(DiagnoseBatch, OutOfRangeCountFieldsAreRejected) {
   const std::uint64_t misses_before =
       obs::registry().counter("sessions.misses").value();
   for (const char* field : {"min_recurrences", "top_k"}) {
-    for (const Json bad : {Json(1e300), Json(1e16), Json("many")}) {
+    for (const Json& bad : {Json(1e300), Json(1e16), Json("many")}) {
       Json request = f.batch_request(1);
       request.set(field, bad);
       const Json response = service.handle(request);
