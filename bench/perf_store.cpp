@@ -8,14 +8,12 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <string>
 
 #include "diag/multiplet.hpp"
 #include "server/signature_memo.hpp"
 #include "sim/kernel.hpp"
 #include "store/reader.hpp"
-#include "store/refresh.hpp"
 #include "store/writer.hpp"
 #include "workload/campaign.hpp"
 #include "workload/circuits.hpp"
@@ -119,34 +117,6 @@ void BM_ColdWarmStoreServed(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ColdWarmStoreServed)->Unit(benchmark::kMillisecond);
-
-// The maintenance-thread fold: carry every existing record byte-for-byte
-// and simulate+append a handful of workload-learned bridges — the price
-// of one background refresh cycle (state.range(0) journaled faults).
-void BM_StoreRefreshFold(benchmark::State& state) {
-  Fixture& f = fixture();
-  const std::string dir = "/tmp/perf_store_refresh";
-  std::filesystem::create_directories(dir);
-  const std::string path =
-      store::store_path_for(dir, f.bc.netlist, f.bc.patterns);
-  std::vector<Fault> learned;
-  for (std::size_t i = 0; i < static_cast<std::size_t>(state.range(0)); ++i)
-    learned.push_back(Fault::bridge_dom(
-        static_cast<NetId>(f.bc.netlist.n_nets() / 2 + i),
-        static_cast<NetId>(f.bc.netlist.n_nets() / 4 + i)));
-  const store::DictWriter writer(f.bc.netlist, f.bc.patterns);
-  for (auto _ : state) {
-    state.PauseTiming();
-    writer.write(path, f.universe);  // reset: fold mutates the store
-    state.ResumeTiming();
-    const store::RefreshStats stats =
-        store::fold_into_store(f.bc.netlist, f.bc.patterns, dir, learned);
-    benchmark::DoNotOptimize(stats.n_new);
-  }
-  std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_StoreRefreshFold)->Arg(16)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -21,7 +21,6 @@
 #include "server/result_json.hpp"
 #include "sim/kernel.hpp"
 #include "store/format.hpp"
-#include "store/refresh.hpp"
 #include "workload/textio.hpp"
 
 namespace mdd::server {
@@ -64,8 +63,6 @@ struct ServiceMetrics {
       obs::registry().counter("server.queue_accepts");
   obs::Counter& queue_rejects =
       obs::registry().counter("server.queue_rejects");
-  obs::Counter& refresh_failures =
-      obs::registry().counter("store.refresh_failures");
   obs::Counter& slow_requests =
       obs::registry().counter("server.slow_requests");
   obs::Gauge& queue_depth = obs::registry().gauge("server.queue_depth");
@@ -197,78 +194,15 @@ DiagnosisService::DiagnosisService(const ServiceOptions& options)
   pump_ = std::thread([this] {
     pool_->run_on_all([this](std::size_t) { drain(); });
   });
-  if (options_.store_refresh_threshold > 0 && !options_.store_dir.empty())
-    refresh_thread_ = std::thread([this] { refresh_loop(); });
 }
 
 DiagnosisService::~DiagnosisService() { shutdown(); }
 
 void DiagnosisService::shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(refresh_mutex_);
-    stop_refresh_ = true;
-  }
-  refresh_cv_.notify_all();
-  if (refresh_thread_.joinable()) refresh_thread_.join();
   queue_.close();
   if (!joined_ && pump_.joinable()) {
     pump_.join();
     joined_ = true;
-  }
-}
-
-void DiagnosisService::refresh_loop() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(refresh_mutex_);
-      refresh_cv_.wait_for(lock, std::chrono::milliseconds(200),
-                           [this] { return stop_refresh_; });
-      if (stop_refresh_) return;
-    }
-    for (const auto& session : cache_.resident_sessions()) {
-      if (session->journal == nullptr || session->journal->detached())
-        continue;
-      if (session->journal->pending() < options_.store_refresh_threshold)
-        continue;
-      refresh_session(session);
-    }
-  }
-}
-
-void DiagnosisService::refresh_session(
-    const std::shared_ptr<const Session>& session) {
-  // Lock → snapshot → fold → swap → compact. The fold simulates on THIS
-  // thread (the maintenance thread, not a queue worker), and the swap is
-  // one shared_ptr store inside the memo: in-flight requests keep
-  // decoding the old mapping, later lookups serve the merged one. Faults
-  // recorded between the snapshot and the compact survive as journal
-  // remainder for the next round. Failures are counted and skipped — a
-  // broken disk must never take the serving path down.
-  //
-  // The cross-process flock serializes folds of one store folder:
-  // `openmdd dict refresh` (or a second daemon on the same --store-dir)
-  // can fold it concurrently, and two unserialized folds are a lost
-  // update (both read version N, the second rename drops the first's
-  // learned faults while its journal was already compacted). `busy`
-  // skips the round — the holder folds now, this daemon's backlog folds
-  // on a later tick against the holder's output. The snapshot is taken
-  // AFTER the lock so it cannot interleave with the holder's compact.
-  try {
-    const store::RefreshLock lock = store::RefreshLock::try_acquire(
-        options_.store_dir, session->netlist, session->patterns);
-    if (!lock.may_fold()) return;
-    const std::vector<Fault> folded = session->journal->pending_faults();
-    if (folded.empty()) return;
-    store::fold_into_store(session->netlist, session->patterns,
-                           options_.store_dir, folded, options_.exec);
-    auto reader = store::DictReader::open(store::store_path_for(
-        options_.store_dir, session->netlist, session->patterns));
-    reader->validate_for(session->netlist, session->patterns);
-    session->memo->set_store(std::move(reader));
-    session->journal->compact(folded);
-  } catch (const std::exception& e) {
-    service_metrics().refresh_failures.inc();
-    std::cerr << "openmdd_serve: store refresh failed: " << e.what() << "\n";
   }
 }
 
@@ -878,13 +812,6 @@ Json DiagnosisService::stats_json() const {
   store.set("bytes_mapped", ls.store_bytes_mapped);
   store.set("hits", count("store.hits"));
   store.set("misses", count("store.misses"));
-  store.set("refresh_threshold", options_.store_refresh_threshold);
-  store.set("refreshes", count("store.refreshes"));
-  store.set("refresh_failures", count("store.refresh_failures"));
-  Json journal;
-  journal.set("sessions", ls.journal_sessions);
-  journal.set("pending", ls.journal_pending);
-  store.set("journal", std::move(journal));
   s.set("store", std::move(store));
   return s;
 }

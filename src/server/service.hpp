@@ -39,7 +39,7 @@
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
+#include <mutex>
 #include <functional>
 #include <iosfwd>
 #include <memory>
@@ -122,15 +122,6 @@ struct ServiceOptions {
   /// own "threads" field overrides this per batch, clamped to the batch
   /// size and to max(this default, hardware threads).
   std::size_t batch_threads = 0;
-  /// Background store refresh (`openmdd_serve --store-refresh N`): when a
-  /// resident session's store-miss journal accumulates at least N
-  /// distinct faults, a low-priority maintenance thread folds them into
-  /// the `.mdds` file and swaps a freshly opened reader into the
-  /// session's memo — in-flight requests keep the old mapping, later ones
-  /// serve the learned universe without a daemon restart. 0 (default)
-  /// disables the thread; requires a non-empty store_dir. Fold failures
-  /// are counted, never fatal.
-  std::size_t store_refresh_threshold = 0;
 };
 
 class DiagnosisService {
@@ -200,9 +191,6 @@ class DiagnosisService {
   };
 
   void drain();  ///< worker loop: pop → execute → done(response)
-  void refresh_loop();  ///< background store-refresh thread body
-  /// One fold for one session: journal → store → reader swap → compact.
-  void refresh_session(const std::shared_ptr<const Session>& session);
   Json dispatch(const Json& request, const CancelToken* cancel,
                 obs::Trace& trace, const Emit& emit);
   Json handle_diagnose(const Json& request, const CancelToken* cancel,
@@ -230,11 +218,6 @@ class DiagnosisService {
   std::unique_ptr<ThreadPool> pool_;
   std::thread pump_;  ///< runs pool_->run_on_all(drain) until shutdown
   bool joined_ = false;
-
-  std::thread refresh_thread_;  ///< background fold; joinable iff enabled
-  std::mutex refresh_mutex_;
-  std::condition_variable refresh_cv_;
-  bool stop_refresh_ = false;
 
   std::mutex slow_log_mutex_;  ///< one slow-request record per line
 };

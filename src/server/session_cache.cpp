@@ -103,18 +103,6 @@ std::shared_ptr<const Session> load_session(const std::string& netlist_path,
   // page cache, not the heap.
   session->memo->set_store(
       try_attach_store(store_dir, session->netlist, session->patterns));
-  if (!store_dir.empty()) {
-    // The journal sidecar exists whenever a store directory does — also
-    // when the .mdds itself is still absent, so the very first served pass
-    // already feeds the first `dict refresh`. It is fail-open: any problem
-    // detaches it, the session loads fine.
-    session->journal = std::make_shared<store::FaultJournal>(
-        store::journal_path_for(store_dir, session->netlist,
-                                session->patterns),
-        store::netlist_content_hash(session->netlist),
-        store::patterns_content_hash(session->patterns));
-    session->memo->set_journal(session->journal);
-  }
   session->approx_bytes = approx_session_bytes(*session);
   return session;
 }
@@ -291,28 +279,13 @@ MemoLayerStats SessionCache::layer_stats() const {
     out.signature += session->memo->stats();
     out.traces += session->traces->stats();
     out.composites += session->composites->stats();
-    // Account the reader the memo is serving from NOW — a background
-    // refresh may have swapped a newer one in since load time.
+    // A decode failure detaches the store, so ask the memo, not the load.
     if (const auto dict = session->memo->store_reader()) {
       ++out.store_sessions;
       out.store_entries += dict->n_entries();
       out.store_bytes_mapped += dict->bytes_mapped();
     }
-    if (session->journal != nullptr && !session->journal->detached()) {
-      ++out.journal_sessions;
-      out.journal_pending += session->journal->pending();
-    }
   }
-  return out;
-}
-
-std::vector<std::shared_ptr<const Session>> SessionCache::resident_sessions()
-    const {
-  std::vector<std::shared_ptr<const Session>> out;
-  std::lock_guard<std::mutex> lock(mutex_);
-  out.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_)
-    if (entry->session != nullptr) out.push_back(entry->session);
   return out;
 }
 

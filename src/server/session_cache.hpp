@@ -22,7 +22,6 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "diag/composite_memo.hpp"
 #include "fsim/propagate.hpp"
@@ -52,10 +51,6 @@ struct Session {
   /// + PO response); read-only after load, reused by every static context
   /// so requests skip the per-request whole-circuit good simulation.
   std::shared_ptr<const PropagatorBaseline> baseline;
-  /// Store-miss journal (workload-learned universes), present iff the
-  /// cache has a store directory; wired into `memo` so every simulated
-  /// signature is recorded for the next refresh. Fail-open.
-  std::shared_ptr<store::FaultJournal> journal;
   std::size_t approx_bytes = 0;
 };
 
@@ -81,8 +76,6 @@ struct MemoLayerStats {
   std::size_t store_sessions = 0;  ///< resident sessions with a store
   std::size_t store_entries = 0;   ///< summed store fault records
   std::size_t store_bytes_mapped = 0;
-  std::size_t journal_sessions = 0;  ///< sessions with a live journal
-  std::size_t journal_pending = 0;   ///< summed unfolded journal faults
 };
 
 class SessionCache {
@@ -169,10 +162,6 @@ class SessionCache {
 
   /// Sums the memo/store levels of every loaded resident session.
   MemoLayerStats layer_stats() const;
-
-  /// Snapshot of every fully loaded resident session (the background
-  /// store-refresh thread walks these looking for journal backlog).
-  std::vector<std::shared_ptr<const Session>> resident_sessions() const;
 
  private:
   struct Entry {

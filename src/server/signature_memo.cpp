@@ -83,21 +83,8 @@ std::shared_ptr<const store::DictReader> SignatureMemo::store_reader() const {
 
 void SignatureMemo::store(const Fault& f,
                           std::shared_ptr<const ErrorSignature> sig) {
-  std::shared_ptr<store::FaultJournal> journal;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    cache_.insert(f, std::move(sig));
-    journal = journal_;
-  }
-  // Outside the memo lock: the journal has its own mutex and does file
-  // I/O. Reaching store() means every serving tier missed and a real
-  // simulation was paid — exactly what the next refresh should fold in.
-  if (journal != nullptr) journal->record(f);
-}
-
-void SignatureMemo::set_journal(std::shared_ptr<store::FaultJournal> journal) {
   std::lock_guard<std::mutex> lock(mutex_);
-  journal_ = std::move(journal);
+  cache_.insert(f, std::move(sig));
 }
 
 CacheStats SignatureMemo::stats() const {

@@ -14,10 +14,10 @@
 // entry with full ones.
 //
 // The memory tier is a `ClockCache` (second-chance eviction, exact byte
-// accounting); this class adds the mmap store tier and the store-miss
-// journal. Its traffic is counted only in the registry: `memo.signature.*`
-// for the memory tier and `store.{hits,misses}` for the mmap tier (a
-// store hit is neither a memo hit nor a miss).
+// accounting); this class adds the read-only mmap store tier. Its
+// traffic is counted only in the registry: `memo.signature.*` for the
+// memory tier and `store.{hits,misses}` for the mmap tier (a store hit
+// is neither a memo hit nor a miss).
 #pragma once
 
 #include <memory>
@@ -26,7 +26,6 @@
 
 #include "diag/clock_cache.hpp"
 #include "diag/diagnosis.hpp"
-#include "store/journal.hpp"
 #include "store/reader.hpp"
 
 namespace mdd::server {
@@ -47,24 +46,17 @@ class SignatureMemo final : public SoloSignatureStore {
   void store(const Fault& f,
              std::shared_ptr<const ErrorSignature> sig) override;
 
-  /// Attaches a persistent dictionary as the warm tier below memory:
-  /// lookup order becomes memory → mmap store → (caller simulates). The
-  /// reader must have been validated against this session's (netlist,
-  /// patterns) — the memo trusts it. Decoded store answers are admitted
-  /// into the memory tier so repeat lookups are pointer copies. A decode
-  /// error (corrupt postings that survived open-time hashing — near
-  /// impossible, but cheap to handle) detaches the store and falls back
-  /// to simulation for good.
+  /// Attaches a persistent dictionary as the warm tier below memory, once
+  /// at session load: lookup order becomes memory → mmap store → (caller
+  /// simulates). The reader must have been validated against this
+  /// session's (netlist, patterns) — the memo trusts it. Decoded store
+  /// answers are admitted into the memory tier so repeat lookups are
+  /// pointer copies. A decode error (corrupt postings that survived
+  /// open-time hashing — near impossible, but cheap to handle) detaches
+  /// the store and falls back to simulation for good.
   void set_store(std::shared_ptr<const store::DictReader> dict);
   bool has_store() const;
   std::shared_ptr<const store::DictReader> store_reader() const;
-
-  /// Attaches the store-miss journal. store() is called exactly when a
-  /// context had to simulate a signature — i.e. both tiers (memory, mmap
-  /// dictionary) missed — so each such fault is recorded for the next
-  /// refresh to fold into the dictionary. The journal itself dedups and
-  /// never throws.
-  void set_journal(std::shared_ptr<store::FaultJournal> journal);
 
   /// Memory-tier footprint; the traffic is in the registry.
   CacheStats stats() const;
@@ -76,7 +68,6 @@ class SignatureMemo final : public SoloSignatureStore {
   mutable std::mutex mutex_;
   ClockCache<Fault, std::shared_ptr<const ErrorSignature>, FaultHash> cache_;
   std::shared_ptr<const store::DictReader> dict_;  ///< warm tier, may be null
-  std::shared_ptr<store::FaultJournal> journal_;  ///< miss ledger, may be null
 };
 
 }  // namespace mdd::server

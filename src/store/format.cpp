@@ -32,48 +32,27 @@ std::uint64_t patterns_content_hash(const PatternSet& patterns) {
   return h;
 }
 
-std::string sidecar_file_name(std::uint64_t netlist_hash,
-                              std::uint64_t patterns_hash,
-                              std::string_view extension) {
+std::string store_file_name(std::uint64_t netlist_hash,
+                            std::uint64_t patterns_hash) {
   static const char* hex = "0123456789abcdef";
   std::string name;
-  name.reserve(16 + 1 + 16 + extension.size());
+  name.reserve(16 + 1 + 16 + 5);  // "<hex16>-<hex16>.mdds"
   const auto append_hex = [&](std::uint64_t v) {
     for (int i = 15; i >= 0; --i) name.push_back(hex[(v >> (4 * i)) & 0xf]);
   };
   append_hex(netlist_hash);
   name.push_back('-');
   append_hex(patterns_hash);
-  name += extension;
+  name += kStoreExtension;
   return name;
 }
 
-std::string store_file_name(std::uint64_t netlist_hash,
-                            std::uint64_t patterns_hash) {
-  return sidecar_file_name(netlist_hash, patterns_hash, kStoreExtension);
-}
-
-namespace {
-
-std::string sidecar_path(const std::string& dir, const Netlist& netlist,
-                         const PatternSet& patterns,
-                         std::string_view extension) {
-  std::string path = dir;
-  if (!path.empty() && path.back() != '/') path.push_back('/');
-  return path + sidecar_file_name(netlist_content_hash(netlist),
-                                  patterns_content_hash(patterns), extension);
-}
-
-}  // namespace
-
 std::string store_path_for(const std::string& dir, const Netlist& netlist,
                            const PatternSet& patterns) {
-  return sidecar_path(dir, netlist, patterns, kStoreExtension);
-}
-
-std::string journal_path_for(const std::string& dir, const Netlist& netlist,
-                             const PatternSet& patterns) {
-  return sidecar_path(dir, netlist, patterns, kJournalExtension);
+  std::string path = dir;
+  if (!path.empty() && path.back() != '/') path.push_back('/');
+  return path + store_file_name(netlist_content_hash(netlist),
+                                patterns_content_hash(patterns));
 }
 
 std::size_t encode_postings(const ErrorSignature& sig,

@@ -24,7 +24,6 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -49,9 +48,6 @@ inline constexpr std::size_t kRecordBytes = 40;
 /// Store files are named <netlist_hash>-<patterns_hash>.mdds inside the
 /// store directory, so one directory serves many circuits.
 inline constexpr const char* kStoreExtension = ".mdds";
-/// Sidecar of a store: the append-only journal of store-missed faults the
-/// serving layer simulated (workload-learned universe; store/journal.hpp).
-inline constexpr const char* kJournalExtension = ".journal";
 
 /// Decoded fixed-size header. On disk the fields follow the magic at the
 /// offsets documented inline (write_header/read_header are the codec).
@@ -161,21 +157,11 @@ std::string store_file_name(std::uint64_t netlist_hash,
 std::string store_path_for(const std::string& dir, const Netlist& netlist,
                            const PatternSet& patterns);
 
-/// "<netlist_hash>-<patterns_hash><extension>" — the naming scheme shared
-/// by the store file and its journal sidecar.
-std::string sidecar_file_name(std::uint64_t netlist_hash,
-                              std::uint64_t patterns_hash,
-                              std::string_view extension);
-
-/// Full path of the store-miss journal for (netlist, patterns) in `dir`.
-std::string journal_path_for(const std::string& dir, const Netlist& netlist,
-                             const PatternSet& patterns);
-
 // ---- posting-list codec --------------------------------------------------
 
 /// Delta-varint encodes the sorted global bit positions of `sig`
 /// (`pattern * n_outputs + po`) into `out`; returns the number of
-/// positions written. Shared by the store writer and the refresh fold.
+/// positions written.
 std::size_t encode_postings(const ErrorSignature& sig,
                             std::uint64_t n_outputs,
                             std::vector<std::uint8_t>& out);

@@ -173,17 +173,6 @@ Fault DictReader::fault_at(std::size_t i) const {
   return read_record(record_ptr(i)).fault;
 }
 
-FaultRecord DictReader::record_at(std::size_t i) const {
-  if (i >= header_.n_faults)
-    throw StoreError("store: record index out of range");
-  return read_record(record_ptr(i));
-}
-
-std::span<const std::uint8_t> DictReader::postings_at(std::size_t i) const {
-  const FaultRecord rec = record_at(i);
-  return {payload_base() + rec.offset, rec.n_bytes};
-}
-
 ErrorSignature DictReader::decode(std::size_t i) const {
   if (i >= header_.n_faults)
     throw StoreError("store: record index out of range");

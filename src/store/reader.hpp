@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 
 #include "fsim/fsim.hpp"
@@ -56,13 +55,6 @@ class DictReader {
   /// Index of `fault`'s record, if the store holds it (binary search).
   std::optional<std::size_t> find(const Fault& fault) const;
   Fault fault_at(std::size_t i) const;
-
-  /// Record `i`'s decoded index entry.
-  FaultRecord record_at(std::size_t i) const;
-  /// Record `i`'s raw encoded posting bytes, straight off the mapping
-  /// (valid while the reader lives). The refresh fold carries these over
-  /// verbatim so unchanged faults are never re-simulated or re-encoded.
-  std::span<const std::uint8_t> postings_at(std::size_t i) const;
 
   /// Reconstructs the full-window signature of record `i`. Byte-identical
   /// to what FaultSimulator::signature produced at build time; throws

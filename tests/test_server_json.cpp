@@ -44,18 +44,20 @@ TEST(JsonDump, ControlCharactersEscaped) {
 }
 
 TEST(JsonRoundTrip, ParseOfDumpIsIdentity) {
-  Json obj;
-  obj.set("id", 7);
-  obj.set("status", "ok");
-  obj.set("partial", true);
-  obj.set("score", -12.25);
-  JsonArray arr;
-  arr.push_back(Json("sa0 n16"));
-  arr.push_back(Json(nullptr));
   Json nested;
   nested.set("tfsf", 3);
+  JsonArray arr;
+  arr.emplace_back("sa0 n16");
+  arr.emplace_back(nullptr);
   arr.push_back(nested);
-  obj.set("suspects", std::move(arr));
+  // Members built in place: no Json is move-assigned from a temporary.
+  JsonObject members;
+  members.emplace_back("id", 7);
+  members.emplace_back("status", "ok");
+  members.emplace_back("partial", true);
+  members.emplace_back("score", -12.25);
+  members.emplace_back("suspects", std::move(arr));
+  const Json obj(std::move(members));
 
   const std::string wire = obj.dump();
   const Json back = Json::parse(wire);

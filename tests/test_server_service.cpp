@@ -477,9 +477,7 @@ TEST(ServiceStats, EveryCountEqualsItsRegistrySeriesAcrossEviction) {
       {"memos.signature.store_hits", "store.hits"},
       {"memos.signature.store_misses", "store.misses"},
       {"store.hits", "store.hits"},
-      {"store.misses", "store.misses"},
-      {"store.refreshes", "store.refreshes"},
-      {"store.refresh_failures", "store.refresh_failures"}};
+      {"store.misses", "store.misses"}};
   for (const char* status : {"ok", "error", "timeout", "overloaded"}) {
     pairs.emplace_back(std::string("requests.") + status,
                        std::string("server.requests.") + status);

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -21,7 +20,6 @@
 #include "obs/metrics.hpp"
 #include "server/signature_memo.hpp"
 #include "sim/kernel.hpp"
-#include "store/journal.hpp"
 #include "store/reader.hpp"
 #include "store/writer.hpp"
 #include "workload/textio.hpp"
@@ -435,37 +433,26 @@ TEST(StoreMemo, EachAnswerCountsOnceInItsTier) {
 }
 
 TEST(StoreMemo, BatchLookupMatchesSingleLookupsKeyForKey) {
-  // Oracle for lookup_many: twin memos with the same inserts, the same
-  // .mdds store and a journal each; one serves a key mix as one batch,
-  // the other as single lookups. Answers, every registry counter the
-  // tiers move, the footprints and the journaled misses must all agree.
+  // Oracle for lookup_many: twin memos with the same inserts and the same
+  // .mdds store; one serves a key mix as one batch, the other as single
+  // lookups. Answers, every registry counter the tiers move and the
+  // footprints must all agree.
   const StoreFixture f = StoreFixture::make("memo-batch");
   const auto dict = DictReader::open(f.path);
   ASSERT_GE(f.universe.size(), 4u);
   SingleFaultPropagator prop(f.netlist, f.patterns);
 
-  // One memo per side, each with its own journal file.
-  struct Twin {
-    explicit Twin(const std::string& journal_path)
-        : memo(1 << 20),
-          journal(std::make_shared<FaultJournal>(journal_path, 1, 2)) {}
-    server::SignatureMemo memo;
-    std::shared_ptr<FaultJournal> journal;
-  };
-  const auto make_twin = [&](const std::string& tag) {
-    const std::string path = ::testing::TempDir() + "batch_" + tag + ".journal";
-    std::remove(path.c_str());
-    auto t = std::make_unique<Twin>(path);
-    t->memo.set_store(dict);
-    t->memo.set_journal(t->journal);
+  const auto make_twin = [&] {
+    auto memo = std::make_unique<server::SignatureMemo>(1 << 20);
+    memo->set_store(dict);
     // Memory tier: two faults known.
     for (std::size_t u = 0; u < 2; ++u)
-      t->memo.store(f.universe[u], std::make_shared<const ErrorSignature>(
-                                       prop.signature(f.universe[u])));
-    return t;
+      memo->store(f.universe[u], std::make_shared<const ErrorSignature>(
+                                     prop.signature(f.universe[u])));
+    return memo;
   };
-  const auto batch = make_twin("batch");
-  const auto single = make_twin("single");
+  const auto batch = make_twin();
+  const auto single = make_twin();
 
   const Fault unknown = Fault::slow_to_rise(0);  // in no tier
   const std::vector<Fault> faults{
@@ -500,12 +487,12 @@ TEST(StoreMemo, BatchLookupMatchesSingleLookupsKeyForKey) {
   std::vector<std::shared_ptr<const ErrorSignature>> got_single(
       faults.size());
   auto before = counters();
-  batch->memo.lookup_many(faults, got_batch);
+  batch->lookup_many(faults, got_batch);
   const auto batch_delta = delta(before, counters());
 
   before = counters();
   for (std::size_t k = 0; k < faults.size(); ++k)
-    got_single[k] = single->memo.lookup(faults[k]);
+    got_single[k] = single->lookup(faults[k]);
   const auto single_delta = delta(before, counters());
 
   for (std::size_t i = 0; i < names.size(); ++i)
@@ -523,27 +510,10 @@ TEST(StoreMemo, BatchLookupMatchesSingleLookupsKeyForKey) {
   }
   EXPECT_EQ(got_batch[5], nullptr);
 
-  const CacheStats sb = batch->memo.stats();
-  const CacheStats ss = single->memo.stats();
+  const CacheStats sb = batch->stats();
+  const CacheStats ss = single->stats();
   EXPECT_EQ(sb.entries, ss.entries);
   EXPECT_EQ(sb.approx_bytes, ss.approx_bytes);
-
-  // Misses go back as stores, as a context would: both journals record
-  // the same faults.
-  const auto write_back_misses =
-      [&](Twin& t,
-          const std::vector<std::shared_ptr<const ErrorSignature>>& got) {
-        for (std::size_t k = 0; k < faults.size(); ++k)
-          if (got[k] == nullptr)
-            t.memo.store(faults[k], std::make_shared<const ErrorSignature>(
-                                        prop.signature(faults[k])));
-      };
-  write_back_misses(*batch, got_batch);
-  write_back_misses(*single, got_single);
-  EXPECT_EQ(batch->journal->pending_faults(), single->journal->pending_faults());
-  // The two seeded inserts, then the one miss.
-  const std::vector<Fault> journaled{f.universe[0], f.universe[1], unknown};
-  EXPECT_EQ(batch->journal->pending_faults(), journaled);
 }
 
 TEST(StoreWarm, TruncatedContextCutsStoreAnswersToItsWindow) {

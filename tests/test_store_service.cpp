@@ -2,15 +2,16 @@
 // must answer its FIRST diagnose with store lookups instead of a full
 // per-candidate simulation pass, byte-identical to the storeless path —
 // the cold-start contract. Corrupt or mismatched store files degrade to
-// plain serving (logged + counted), never to an error response.
+// plain serving (logged + counted), never to an error response, and the
+// daemon never writes to the store directory.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "fsim/fsim.hpp"
@@ -18,8 +19,6 @@
 #include "netlist/generator.hpp"
 #include "obs/metrics.hpp"
 #include "server/service.hpp"
-#include "store/journal.hpp"
-#include "store/refresh.hpp"
 #include "store/writer.hpp"
 #include "workload/textio.hpp"
 
@@ -251,142 +250,68 @@ TEST(StoreService, PingAndStatsReportStoreStatusAndUniformMemoShapes) {
   EXPECT_FALSE(plain_store->get_bool("enabled"));
 }
 
-// The ISSUE acceptance test for workload-learned universes. Pass 1 on a
-// multiplet case leaves extractor-invented candidates (dominant bridges
-// the sampled universe lacks) in the store-miss journal; `dict refresh`
-// folds them in; a cold restart must then store-serve at least 80% of
-// the extracted candidates with byte-identical reports.
-TEST(StoreService, JournaledMissesFoldBackAndCloseTheCoverageGap) {
-  const StoreServiceFixture f = StoreServiceFixture::make("learned");
-  const Netlist reparsed = parse_bench_file(f.netlist_path).netlist;
-  const PatternSet repat = read_patterns_file(f.patterns_path);
-  const std::uint64_t nh = store::netlist_content_hash(reparsed);
-  const std::uint64_t ph = store::patterns_content_hash(repat);
-  const std::string journal_path =
-      store::journal_path_for(f.store_dir, reparsed, repat);
-
-  std::string first_reports;
-  double n_candidates1 = 0;
-  double solo1 = 0;
-  {
-    DiagnosisService stored(with_store(f));
-    const Json first = stored.handle(f.diagnose_request("multiplet"));
-    ASSERT_EQ(first.get_string("status"), "ok");
-    first_reports = reports_dump(first);
-    n_candidates1 = first.get_number("n_candidates", 0);
-    solo1 = first.get_number("solo_computes", -1);
-    ASSERT_GT(n_candidates1, 0);
-    ASSERT_GT(solo1, 0) << "fixture must produce store misses to learn from";
-  }  // service closed: the journal is flushed and released
-
-  // The serving pass recorded every store-missed candidate it had to
-  // simulate — and nothing else.
-  const store::JournalContents journal =
-      store::read_journal(journal_path, nh, ph);
-  ASSERT_FALSE(journal.faults.empty());
-  EXPECT_EQ(journal.faults.size(), static_cast<std::size_t>(solo1));
-
-  // `openmdd dict refresh` between passes.
-  const store::RefreshStats refresh =
-      store::refresh_store(reparsed, repat, f.store_dir);
-  EXPECT_EQ(refresh.n_new, journal.faults.size());
-  EXPECT_TRUE(refresh.wrote);
-  EXPECT_FALSE(refresh.rebuilt);
-
-  // Cold restart: same request, byte-identical answer, and the learned
-  // universe now covers >= 80% of the extracted candidates.
-  DiagnosisService restarted(with_store(f));
-  const Json second = restarted.handle(f.diagnose_request("multiplet"));
-  ASSERT_EQ(second.get_string("status"), "ok");
-  EXPECT_EQ(reports_dump(second), first_reports);
-  const double n_candidates2 = second.get_number("n_candidates", 0);
-  const double solo2 = second.get_number("solo_computes", -1);
-  EXPECT_GT(n_candidates2, 0);
-  EXPECT_LT(solo2, solo1);
-  EXPECT_LE(solo2, 0.2 * n_candidates2)
-      << "after the fold, at least 80% of candidates must be store-served";
-}
-
-TEST(StoreService, BackgroundRefreshFoldsJournalWithoutRestart) {
-  const StoreServiceFixture f = StoreServiceFixture::make("bgrefresh");
-  ServiceOptions options = with_store(f);
-  options.store_refresh_threshold = 1;  // every journaled fault triggers
-  const std::uint64_t refreshes_before =
-      obs::registry().counter("store.refreshes").value();
-  DiagnosisService service(options);
-  // The session loads with the prebuilt store; nothing is journaled yet,
-  // so no refresh can run before the first request.
-  const auto& session = *service.cache().get(f.netlist_path, f.patterns_path);
-  ASSERT_TRUE(session.memo->has_store());
-  const std::size_t entries_at_load =
-      session.memo->store_reader()->n_entries();
-
-  const Json first = service.handle(f.diagnose_request("multiplet"));
-  ASSERT_EQ(first.get_string("status"), "ok");
-  ASSERT_GT(first.get_number("solo_computes", 0), 0)
-      << "fixture must produce store misses to learn from";
-
-  // The maintenance thread polls every 200 ms. A round that wakes while
-  // the diagnose is still journaling folds a partial snapshot — the
-  // remainder survives for the next round by design — so wait until the
-  // journal fully drains, not just for the first refresh. Generous
-  // deadline: sanitizer builds fold slowly.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  double refreshes = 0;
-  while (std::chrono::steady_clock::now() < deadline) {
-    const Json stats = service.stats_json();
-    const Json* store_stats = stats.find("store");
-    ASSERT_NE(store_stats, nullptr);
-    refreshes = store_stats->get_number("refreshes", 0) -
-                static_cast<double>(refreshes_before);
-    if (refreshes > 0 && session.journal->pending() == 0) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+/// Every regular file in `dir`, name → bytes.
+std::map<std::string, std::string> snapshot_dir(const std::string& dir) {
+  std::map<std::string, std::string> out;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(e.path(), std::ios::binary);
+    out[e.path().filename().string()] =
+        std::string(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
   }
-  ASSERT_GT(refreshes, 0) << "background refresh never ran";
-
-  // Folded: the journal drained, and the session's serving reader was
-  // swapped for the merged store — without dropping the session.
-  EXPECT_EQ(session.journal->pending(), 0u);
-  ASSERT_TRUE(session.memo->has_store());
-  EXPECT_GT(session.memo->store_reader()->n_entries(), entries_at_load)
-      << "the swapped reader must hold the learned faults";
-
-  // The same request again answers byte-identically off the new reader.
-  const Json second = service.handle(f.diagnose_request("multiplet"));
-  ASSERT_EQ(second.get_string("status"), "ok");
-  EXPECT_EQ(reports_dump(second), reports_dump(first));
-  EXPECT_EQ(second.get_number("solo_computes", -1), 0)
-      << "every learned candidate must now be store-served";
+  return out;
 }
 
+// The store is read-only to the daemon. Sidecars an older build left
+// beside it (a store-miss journal with a valid header, a fold lock) are
+// neither read nor written: serving diagnose and diagnose_batch leaves
+// the directory byte-for-byte as it was, and the session still
+// store-serves with reports equal to the storeless path.
 TEST(StoreService, CorruptSidecarsFailOpenAndNeverFailADiagnosis) {
   const StoreServiceFixture f = StoreServiceFixture::make("sidecars");
-  const Netlist reparsed = parse_bench_file(f.netlist_path).netlist;
-  const PatternSet repat = read_patterns_file(f.patterns_path);
-  std::ofstream(store::journal_path_for(f.store_dir, reparsed, repat))
-      << "mddj9 garbage header\n";
+  const std::string stem = std::filesystem::path(f.store_file).stem();
+  const std::string hashes = stem.substr(0, 16) + " " + stem.substr(17);
+  std::ofstream(f.store_dir + "/" + stem + ".journal")
+      << "mddj1 " << hashes << "\nf 0 1 0 0\n";
+  std::ofstream(f.store_file + ".lock") << "";
+  const auto before = snapshot_dir(f.store_dir);
+  ASSERT_EQ(before.size(), 3u);
+
+  Json batch;
+  batch.set("op", "diagnose_batch");
+  batch.set("netlist", f.netlist_path);
+  batch.set("patterns", f.patterns_path);
+  batch.set("method", "multiplet");
+  batch.set("datalogs", Json(JsonArray{Json(f.datalog_text),
+                                       Json(f.datalog_text)}));
 
   DiagnosisService plain;
   const Json reference = plain.handle(f.diagnose_request("multiplet"));
   ASSERT_EQ(reference.get_string("status"), "ok");
 
-  DiagnosisService stored(with_store(f));
-  const Json served = stored.handle(f.diagnose_request("multiplet"));
-  ASSERT_EQ(served.get_string("status"), "ok")
-      << "corrupt sidecars must never fail a request";
-  EXPECT_EQ(reports_dump(served), reports_dump(reference));
+  const std::uint64_t hits_before =
+      obs::registry().counter("store.hits").value();
+  {
+    DiagnosisService stored(with_store(f));
+    const Json served = stored.handle(f.diagnose_request("multiplet"));
+    ASSERT_EQ(served.get_string("status"), "ok")
+        << "stale sidecars must never fail a request";
+    EXPECT_EQ(reports_dump(served), reports_dump(reference));
+    const Json batched = stored.handle(batch);
+    ASSERT_EQ(batched.get_string("status"), "ok");
+    for (const Json& item : batched.find("results")->as_array())
+      EXPECT_EQ(reports_dump(item), reports_dump(reference));
 
-  const auto& session = *stored.cache().get(f.netlist_path, f.patterns_path);
-  ASSERT_NE(session.journal, nullptr);
-  EXPECT_TRUE(session.journal->detached());
-  const Json stats = stored.stats_json();
-  const Json* store_stats = stats.find("store");
-  ASSERT_NE(store_stats, nullptr);
-  const Json* journal_stats = store_stats->find("journal");
-  ASSERT_NE(journal_stats, nullptr);
-  EXPECT_EQ(journal_stats->get_number("sessions", -1), 0)
-      << "a detached journal must not count as live";
+    const auto& session =
+        *stored.cache().get(f.netlist_path, f.patterns_path);
+    EXPECT_TRUE(session.memo->has_store());
+    const Json stats = stored.stats_json();
+    EXPECT_GT(stats.find("store")->get_number("hits", 0),
+              static_cast<double>(hits_before))
+        << "the session must still store-serve";
+    EXPECT_EQ(snapshot_dir(f.store_dir), before) << "while serving";
+  }
+  EXPECT_EQ(snapshot_dir(f.store_dir), before) << "after shutdown";
 }
 
 }  // namespace

@@ -56,7 +56,6 @@
 #include "server/service.hpp"
 #include "sim/kernel.hpp"
 #include "store/reader.hpp"
-#include "store/refresh.hpp"
 #include "store/writer.hpp"
 #include "workload/circuits.hpp"
 #include "workload/loadgen.hpp"
@@ -87,9 +86,7 @@ int usage() {
          "  openmdd dict build   <netlist> --patterns <f> --store-dir <dir>"
          " [--bridges N] [--bridge-seed N]\n"
          "                       [--no-bridges] [--no-wired] [--threads N]"
-         " [--force] [--from-journal]\n"
-         "  openmdd dict refresh <netlist> --patterns <f> --store-dir <dir>"
-         " [--threads N]\n"
+         " [--force]\n"
          "  openmdd dict inspect <store-file-or-dir>\n"
          "  openmdd dict verify  <store-file> [--netlist <f> --patterns <f>]"
          " [--sample N]\n"
@@ -149,7 +146,7 @@ Args parse_args(int argc, char** argv, int first) {
       "--bridges",   "--bridge-seed", "--sample",  "--netlist",
       "--batch",     "--cases"};
   static const char* kFlags[] = {"--no-compact", "--no-bridges",
-                                 "--no-wired", "--force", "--from-journal"};
+                                 "--no-wired", "--force"};
   for (int i = first; i < argc; ++i) {
     const std::string a = argv[i];
     bool is_value_option = false;
@@ -487,39 +484,6 @@ int cmd_corpus(const Args& args) {
   return 0;
 }
 
-/// Prints a fold result (`dict refresh`, `dict build --from-journal`).
-void print_refresh_stats(const store::RefreshStats& stats) {
-  std::cout << "offered:    " << stats.n_offered << " journaled fault(s)\n"
-            << "added:      " << stats.n_new << " ("
-            << stats.n_existing << " carried over, " << stats.n_invalid
-            << " invalid)\n";
-  if (stats.rebuilt) std::cout << "rebuilt:    store was absent or invalid\n";
-  if (stats.wrote)
-    std::cout << "wrote:      " << stats.build.n_faults << " faults, "
-              << stats.build.file_bytes << " bytes ("
-              << stats.build.simulate_seconds * 1000 << " ms simulate)\n";
-  else
-    std::cout << "wrote:      nothing (store already covers the journal)\n";
-}
-
-/// `dict refresh`: fold the store-miss journal the serving layer wrote
-/// back into the dictionary, growing the universe the next cold start
-/// serves from. Safe to run while a daemon serves the old file — the
-/// tmp+rename swap never disturbs a live mapping.
-int cmd_dict_refresh(const Args& args) {
-  const Netlist nl = load_netlist(args.positional.at(1));
-  const PatternSet patterns = read_patterns_file(args.option("--patterns"));
-  const std::string dir = args.option("--store-dir");
-  if (dir.empty())
-    throw std::runtime_error("dict refresh: missing --store-dir");
-  ExecPolicy exec = ExecPolicy::from_env();
-  const std::string threads = args.option("--threads");
-  if (!threads.empty())
-    exec = ExecPolicy::parallel(parse_count(threads, "--threads"));
-  print_refresh_stats(store::refresh_store(nl, patterns, dir, exec));
-  return 0;
-}
-
 int cmd_dict_build(const Args& args) {
   const Netlist nl = load_netlist(args.positional.at(1));
   const PatternSet patterns = read_patterns_file(args.option("--patterns"));
@@ -560,11 +524,6 @@ int cmd_dict_build(const Args& args) {
               << "encode:     " << stats.encode_seconds * 1000 << " ms\n"
               << "wrote " << path << "\n";
   }
-  // --from-journal folds the serving layer's store-miss sidecar on top of
-  // the default universe, so one build covers both the generated and the
-  // workload-learned candidate sets.
-  if (args.has_flag("--from-journal"))
-    print_refresh_stats(store::refresh_store(nl, patterns, dir, exec));
   return 0;
 }
 
@@ -651,16 +610,12 @@ int cmd_dict_verify(const Args& args) {
 }
 
 int cmd_dict(const Args& args) {
-  if (args.positional.empty())
-    throw std::runtime_error(
-        "dict wants a subcommand: build | refresh | inspect | verify");
-  const std::string& sub = args.positional.front();
+  const std::string sub =
+      args.positional.empty() ? std::string() : args.positional.front();
   if (sub == "build") return cmd_dict_build(args);
-  if (sub == "refresh") return cmd_dict_refresh(args);
   if (sub == "inspect") return cmd_dict_inspect(args);
   if (sub == "verify") return cmd_dict_verify(args);
-  throw std::runtime_error("unknown dict subcommand '" + sub +
-                           "' (want build | refresh | inspect | verify)");
+  return usage();
 }
 
 /// `openmdd version [--store-dir DIR]`: build/version facts plus, with a

@@ -4,7 +4,7 @@
 //                 [--cache-mb N] [--memo-mb N] [--composite-mb N]
 //                 [--exec-threads N] [--default-deadline-ms N]
 //                 [--metrics-port N] [--slow-ms N] [--kernel NAME]
-//                 [--store-dir DIR] [--store-refresh N] [--batch-threads N]
+//                 [--store-dir DIR] [--batch-threads N]
 //
 // Speaks line-delimited JSON (one request object per line, one response
 // per line; protocol in src/server/service.hpp and DESIGN.md §7) either
@@ -64,11 +64,6 @@ int usage() {
          "  --store-dir DIR        serve candidate signatures from"
          " prebuilt dictionary stores\n"
          "                         (openmdd dict build) found in DIR\n"
-         "  --store-refresh N      fold store-missed faults back into the"
-         " dictionary once a\n"
-         "                         session's journal holds N of them"
-         " (default 0 = off;\n"
-         "                         needs --store-dir)\n"
          "  --batch-threads N      datalog-level threads inside one"
          " diagnose_batch request\n"
          "                         (default 0 = --workers; request"
@@ -144,8 +139,6 @@ int main(int argc, char** argv) {
         options.slow_ms = static_cast<double>(parse_count(value(), a));
       } else if (a == "--store-dir") {
         options.store_dir = value();
-      } else if (a == "--store-refresh") {
-        options.store_refresh_threshold = parse_count(value(), a);
       } else if (a == "--batch-threads") {
         options.batch_threads = parse_count(value(), a);
       } else if (a == "--kernel") {
@@ -162,10 +155,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (exec_threads > 0) options.exec = ExecPolicy::parallel(exec_threads);
-  if (options.store_refresh_threshold > 0 && options.store_dir.empty()) {
-    std::cerr << "openmdd_serve: --store-refresh needs --store-dir\n";
-    return 2;
-  }
 
   std::unique_ptr<server::DiagnosisService> service;
   try {
@@ -178,12 +167,7 @@ int main(int argc, char** argv) {
             << " workers, queue " << options.queue_depth << ", cache "
             << (options.cache_bytes >> 20) << " MiB, kernel "
             << current_kernel().name;
-  if (!options.store_dir.empty()) {
-    std::cerr << ", store " << options.store_dir;
-    if (options.store_refresh_threshold > 0)
-      std::cerr << " (refresh at " << options.store_refresh_threshold
-                << " journaled faults)";
-  }
+  if (!options.store_dir.empty()) std::cerr << ", store " << options.store_dir;
   std::cerr << "\n";
   std::unique_ptr<server::MetricsHttpServer> metrics;
   if (metrics_port) {
