@@ -12,9 +12,16 @@
 //   Batch/T              one `op=diagnose_batch` request at T datalog
 //                        threads: same shared memos plus datalog-level
 //                        parallelism from the private worker group.
+//   BatchTiered          30 batches of 8 in the tiered serving mix (2
+//                        recurring systematic defects under rotating
+//                        truncation, 6 fresh random multiplets, full and
+//                        cut) at 4 threads, 16 MiB signature and 2 MiB
+//                        composite memos, no store: what one batch's
+//                        shared solo warm saves when memos evict.
 //
 // Every arm exports datalogs_per_s; the batch-vs-independent ratio is
-// the amortization multiple EXPERIMENTS.md quotes.
+// the amortization multiple EXPERIMENTS.md quotes. BatchTiered also
+// exports the solo simulations per batch (`amortization.solo_computes`).
 //
 //   ./build/bench/perf_volume                  # google-benchmark arms
 //   ./build/bench/perf_volume --volume-check   # one timed pass of the
@@ -22,10 +29,13 @@
 //        byte-identical and exits 1 unless batch >= 2x datalogs/s.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -174,6 +184,91 @@ BENCHMARK(BM_VolumeBatch)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+/// The tiered mix: 16 systematic defects (k = 1 and 2) taken two per
+/// batch in turn, each recurrence under the next of full / 12 / 6 failing
+/// patterns, plus one fresh multiplet of each k = 1..3, full and cut to 8.
+std::vector<server::Json> tiered_batches(const Fixture& f) {
+  constexpr std::size_t kBatches = 30, kSystematic = 16;
+  const PatternSet good = simulate(f.netlist, f.patterns);
+  const auto draw = [&](std::size_t k, std::size_t n, std::size_t cut,
+                        std::uint64_t seed) {
+    CorpusConfig cfg;
+    cfg.n_cases = n;
+    cfg.defect.multiplicity = k;
+    cfg.datalog.max_failing_patterns = cut;
+    cfg.seed = seed;
+    return make_corpus(f.netlist, f.patterns, good, cfg);
+  };
+  std::vector<LoadgenCase> systematic = draw(1, kSystematic / 2, SIZE_MAX, 64);
+  for (LoadgenCase& c : draw(2, kSystematic / 2, SIZE_MAX, 65))
+    systematic.push_back(std::move(c));
+  std::vector<std::vector<LoadgenCase>> random;
+  for (std::size_t k = 1; k <= 3; ++k)
+    for (std::size_t cut : {SIZE_MAX, std::size_t{8}})
+      random.push_back(draw(k, kBatches, cut, 66 + random.size()));
+
+  std::vector<server::Json> batches;
+  for (std::size_t b = 0; b < kBatches; ++b) {
+    server::JsonArray texts;
+    for (std::size_t j = 0; j < 2; ++j) {
+      const std::size_t slot = 2 * b + j;
+      DatalogOptions cut;
+      cut.max_failing_patterns =
+          std::array<std::size_t, 3>{SIZE_MAX, 12, 6}[(slot / kSystematic) % 3];
+      const Datalog log = datalog_from_defect(
+          f.netlist, systematic[slot % systematic.size()].defect, f.patterns,
+          good, cut);
+      std::ostringstream text;
+      write_datalog(text, log, f.netlist);
+      texts.emplace_back(text.str());
+    }
+    for (const std::vector<LoadgenCase>& stream : random)
+      texts.emplace_back(stream[b % stream.size()].datalog_text);
+    server::Json r;
+    r.set("op", "diagnose_batch");
+    r.set("netlist", f.netlist_path);
+    r.set("patterns", f.patterns_path);
+    r.set("datalogs", server::Json(std::move(texts)));
+    r.set("method", "multiplet");
+    r.set("threads", 4);
+    batches.push_back(std::move(r));
+  }
+  return batches;
+}
+
+void BM_VolumeBatchTiered(benchmark::State& state) {
+  Fixture& f = fixture();
+  static const std::vector<server::Json> batches = tiered_batches(f);
+  double datalogs = 0.0;
+  double solo_computes = 0.0;
+  for (auto _ : state) {
+    state.PauseTiming();  // a fresh daemon: session load is not timed
+    server::ServiceOptions options;
+    options.n_workers = 1;
+    options.memo_bytes = 16ull << 20;
+    options.composite_bytes = 2ull << 20;
+    auto service = std::make_unique<server::DiagnosisService>(options);
+    service->cache().get(f.netlist_path, f.patterns_path);
+    state.ResumeTiming();
+    for (const server::Json& batch : batches) {
+      const server::Json response = service->handle(batch);
+      benchmark::DoNotOptimize(response);
+      datalogs += response.get_number("n_datalogs");
+      solo_computes +=
+          response.find("amortization")->get_number("solo_computes");
+    }
+    state.PauseTiming();
+    service.reset();
+    state.ResumeTiming();
+  }
+  const double n_batches =
+      static_cast<double>(state.iterations() * batches.size());
+  state.counters["datalogs_per_s"] =
+      benchmark::Counter(datalogs, benchmark::Counter::kIsRate);
+  state.counters["solo_computes_per_batch"] = solo_computes / n_batches;
+}
+BENCHMARK(BM_VolumeBatchTiered)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// One-shot check mode: times the independent baseline and one batch
 /// pass, demands byte-identical per-datalog reports, and fails unless the

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "core/thread_pool.hpp"
 
@@ -94,6 +96,34 @@ void parallel_for(const ExecPolicy& policy, std::size_t n,
                           body(i, worker);
                         }
                       });
+}
+
+std::size_t run_on_threads(std::size_t n, const std::function<void()>& body) {
+  std::mutex error_mutex;
+  std::exception_ptr error;
+  const auto guarded = [&] {
+    try {
+      body();
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(error_mutex);
+      if (!error) error = std::current_exception();
+    }
+  };
+  std::vector<std::thread> group;
+  if (n > 1) {
+    try {
+      group.reserve(n);
+      while (group.size() < n) group.emplace_back(guarded);
+    } catch (const std::exception&) {
+    }
+  }
+  // The caller only waits: with glibc, every thread that allocates heavily
+  // binds a malloc arena, and a caller drawn from a long-lived pool would
+  // add its own to those the group threads reuse from exited ones.
+  if (group.empty()) guarded();
+  for (std::thread& t : group) t.join();
+  if (error) std::rethrow_exception(error);
+  return std::max<std::size_t>(group.size(), 1);
 }
 
 }  // namespace mdd

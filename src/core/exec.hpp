@@ -63,4 +63,15 @@ void parallel_for(const ExecPolicy& policy, std::size_t n,
                   const CancelToken* cancel,
                   const std::function<void(std::size_t, std::size_t)>& body);
 
+/// Runs `body()` on `n` fresh private threads and joins them; `n <= 1`
+/// runs it on the calling thread instead. No pool is involved, so a
+/// caller that is itself a pool worker still gets `n` threads. `body`
+/// claims its own work (for example chunks off an atomic counter), so the
+/// result must not depend on how many threads ran. A thread that fails to
+/// start is not an error: the ones running take its work, and if none
+/// started the caller runs `body`. The first exception any `body` throws
+/// is rethrown after the join. Returns the number of threads that ran
+/// `body` (at least 1).
+std::size_t run_on_threads(std::size_t n, const std::function<void()>& body);
+
 }  // namespace mdd

@@ -321,59 +321,43 @@ Json DiagnosisService::dispatch(const Json& request,
   return error_response(request, "unknown op '" + op + "'");
 }
 
-DiagnosisService::DiagnoseOutcome DiagnosisService::diagnose_one(
-    const Session& session, const DatalogInput& input,
-    const std::string& method, const CancelToken* cancel,
-    obs::Trace& trace) {
-  const std::span<const DiagnosisMethod> methods = methods_named(method);
-  DiagnoseOutcome out;
-  const auto t1 = Clock::now();
+void DiagnosisService::open_item(const Session& session,
+                                 const DatalogInput& input, Item& item,
+                                 obs::Trace& trace) {
+  const auto t0 = Clock::now();
   {
     auto datalog_span = trace.span("datalog");
     if (input.is_file) {
-      out.log = read_datalog_file(input.value, session.netlist);
+      item.log = read_datalog_file(input.value, session.netlist);
     } else {
       std::istringstream in(input.value);
-      out.log = read_datalog(in, session.netlist);
+      item.log = read_datalog(in, session.netlist);
     }
   }
-
   auto context_span = trace.span("context");
   CandidateOptions candidate_options;
   candidate_options.trace_store = session.traces.get();
-  DiagnosisContext ctx(session.netlist, session.patterns, out.log,
-                       candidate_options, &session.good, session.baseline,
-                       &trace);
-  if (session.memo) ctx.attach_solo_store(session.memo.get());
+  item.ctx = std::make_unique<DiagnosisContext>(
+      session.netlist, session.patterns, item.log, candidate_options,
+      &session.good, session.baseline, &trace);
+  if (session.memo) item.ctx->attach_solo_store(session.memo.get());
   if (session.composites)
-    ctx.attach_composite_memo(session.composites.get());
-  context_span.close();
-  // Consult the persistent store BEFORE scheduling a PPSFP warm: slots it
-  // answers are pure mmap decodes, and when it covers every candidate the
-  // parallel warm-up is skipped outright (the store-served cold start).
-  std::size_t store_warmed = 0;
-  if (ctx.solo_store_attached() && session.memo && session.memo->has_store()) {
-    auto span = trace.span("store_warm");
-    store_warmed = ctx.warm_solo_from_store();
-  }
-  if (!options_.exec.is_serial() && store_warmed < ctx.n_candidates()) {
-    auto warm_span = trace.span("warm");
-    ctx.warm_solo_signatures(options_.exec, cancel);
-  }
-  out.t_context = ms_since(t1);
+    item.ctx->attach_composite_memo(session.composites.get());
+  item.t_context = ms_since(t0);
+}
 
-  const auto t2 = Clock::now();
+void DiagnosisService::rank_item(Item& item,
+                                 std::span<const DiagnosisMethod> methods,
+                                 const CancelToken* cancel,
+                                 obs::Trace& trace) {
+  const auto t0 = Clock::now();
   for (const DiagnosisMethod& m : methods) {
     auto span = trace.span("rank:" + std::string(m.name));
-    out.reports.push_back(m.run(ctx, cancel));
+    item.reports.push_back(m.run(*item.ctx, cancel));
   }
-  out.t_diagnose = ms_since(t2);
-
-  out.timed_out = cancel != nullptr && cancel->cancelled();
-  for (const DiagnosisReport& r : out.reports) out.timed_out |= r.timed_out;
-  out.n_candidates = ctx.n_candidates();
-  out.solo_computes = ctx.solo_compute_count();
-  return out;
+  item.t_diagnose = ms_since(t0);
+  item.timed_out = cancel != nullptr && cancel->cancelled();
+  for (const DiagnosisReport& r : item.reports) item.timed_out |= r.timed_out;
 }
 
 Json DiagnosisService::handle_diagnose(const Json& request,
@@ -413,31 +397,42 @@ Json DiagnosisService::handle_diagnose(const Json& request,
     input.is_file = true;
     input.value = datalog_file;
   }
-  DiagnoseOutcome outcome;
+  Item item;
   try {
-    outcome = diagnose_one(*session, input, method, cancel, trace);
+    const std::span<const DiagnosisMethod> methods = methods_named(method);
+    const auto t1 = Clock::now();
+    open_item(*session, input, item, trace);
+    {
+      // The batch path's three steps with one context.
+      auto warm_span = trace.span("warm");
+      DiagnosisContext* const contexts[] = {item.ctx.get()};
+      DiagnosisContext::warm_solo_signatures(contexts,
+                                             options_.exec.n_threads, cancel);
+    }
+    item.t_context = ms_since(t1);
+    rank_item(item, methods, cancel, trace);
   } catch (const std::exception& e) {
     return error_response(request, e.what());
   }
 
   auto serialize_span = trace.span("serialize");
   Json response =
-      make_response(request, outcome.timed_out ? "timeout" : "ok");
+      make_response(request, item.timed_out ? "timeout" : "ok");
   response.set("op", "diagnose");
   response.set("method", method);
   response.set("kernel", current_kernel().name);
   response.set("cache", cache_hit ? "hit" : "miss");
-  if (outcome.timed_out) response.set("partial", true);
-  response.set("reports", reports_to_json(outcome.reports, session->netlist));
+  if (item.timed_out) response.set("partial", true);
+  response.set("reports", reports_to_json(item.reports, session->netlist));
   // The store-coverage ledger (mirrors the batch "amortization" object):
   // solo_computes counts candidates every serving tier missed — the gap
   // to n_candidates is what memo + dictionary absorbed.
-  response.set("n_candidates", outcome.n_candidates);
-  response.set("solo_computes", outcome.solo_computes);
+  response.set("n_candidates", item.ctx->n_candidates());
+  response.set("solo_computes", item.ctx->solo_compute_count());
   Json timings;
   timings.set("session", t_session);
-  timings.set("context", outcome.t_context);
-  timings.set("diagnose", outcome.t_diagnose);
+  timings.set("context", item.t_context);
+  timings.set("diagnose", item.t_diagnose);
   timings.set("total", ms_since(t0));
   response.set("timings_ms", std::move(timings));
   serialize_span.close();
@@ -456,8 +451,9 @@ Json DiagnosisService::handle_diagnose_batch(const Json& request,
     return error_response(
         request, "diagnose_batch needs 'netlist' and 'patterns' paths");
   const std::string method = request.get_string("method", "multiplet");
+  std::span<const DiagnosisMethod> methods;
   try {
-    methods_named(method);
+    methods = methods_named(method);
   } catch (const std::invalid_argument& e) {
     return error_response(request, e.what());
   }
@@ -563,7 +559,6 @@ Json DiagnosisService::handle_diagnose_batch(const Json& request,
 
   const auto t1 = Clock::now();
   auto diagnose_span = trace.span("diagnose");
-  std::atomic<std::size_t> next{0};
   std::atomic<std::uint64_t> total_candidates{0};
   std::atomic<std::uint64_t> total_solo_computes{0};
   std::atomic<std::uint64_t> n_item_errors{0};
@@ -573,12 +568,81 @@ Json DiagnosisService::handle_diagnose_batch(const Json& request,
   ReorderBuffer reorder(inputs.size(),
                         stream ? ReorderBuffer::Sink(emit) : nullptr);
 
-  const auto worker = [&] {
-    for (;;) {
-      const std::size_t i =
-          next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= inputs.size()) return;
-      const auto item_t0 = Clock::now();
+  // The batch occupies ONE queue worker; its parallelism runs on private
+  // threads (run_on_threads), each step's threads claiming items off a
+  // counter, heaviest first. `used` is the most threads any step got.
+  std::size_t used = 1;
+  const auto heaviest_first = [&](std::vector<std::size_t> weight,
+                                  const auto& body) {
+    std::vector<std::size_t> order(weight.size());
+    for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return weight[a] > weight[b];
+                     });
+    std::atomic<std::size_t> next{0};
+    used = std::max(used, run_on_threads(std::min(threads, order.size()), [&] {
+      for (std::size_t k; (k = next.fetch_add(1, std::memory_order_relaxed)) <
+                          order.size();)
+        body(order[k]);
+    }));
+  };
+
+  // Waves of at most 2 x threads items, each in three steps: open every
+  // context, warm the wave's solo signatures once (each distinct fault
+  // simulated at most once), rank. The bound keeps the contexts resident
+  // at once to a small multiple of the threads.
+  const std::size_t wave = 2 * threads;
+  for (std::size_t w0 = 0; w0 < inputs.size(); w0 += wave) {
+    const std::size_t n = std::min(wave, inputs.size() - w0);
+    std::vector<Item> items(n);
+
+    std::vector<std::size_t> input_bytes(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      const DatalogInput& in = inputs[w0 + k];
+      std::error_code ec;
+      input_bytes[k] = in.is_file ? std::filesystem::file_size(in.value, ec)
+                                  : in.value.size();
+      if (ec) input_bytes[k] = 0;
+    }
+    heaviest_first(std::move(input_bytes), [&](std::size_t k) {
+      obs::Trace item_trace;  // per-item spans stay off the batch trace
+      try {
+        open_item(*session, inputs[w0 + k], items[k], item_trace);
+      } catch (const std::exception& e) {
+        items[k].error = e.what();
+        items[k].ctx.reset();
+      }
+    });
+
+    std::vector<DiagnosisContext*> contexts;
+    std::vector<std::size_t> pool_sizes(n, 0);
+    for (std::size_t k = 0; k < n; ++k) {
+      if (items[k].ctx == nullptr) continue;
+      contexts.push_back(items[k].ctx.get());
+      pool_sizes[k] = items[k].ctx->n_candidates();
+    }
+    try {
+      DiagnosisContext::warm_solo_signatures(contexts, threads, cancel);
+    } catch (const std::exception&) {
+      // Nothing is lost: every slot the warm left cold fills lazily.
+    }
+
+    heaviest_first(std::move(pool_sizes), [&](std::size_t k) {
+      Item& it = items[k];
+      const std::size_t i = w0 + k;
+      Json reports;
+      if (it.error.empty()) {
+        try {
+          obs::Trace item_trace;
+          rank_item(it, methods, cancel, item_trace);
+          reports = reports_to_json(it.reports, session->netlist);
+          aggregator.record(VolumeAggregator::make_record(
+              i, it.log, it.reports, it.timed_out));
+        } catch (const std::exception& e) {
+          it.error = e.what();
+        }
+      }
       Json item;
       if (stream) {
         if (const Json* id = request.find("id")) item.set("id", *id);
@@ -586,48 +650,33 @@ Json DiagnosisService::handle_diagnose_batch(const Json& request,
       }
       item.set("index", i);
       if (inputs[i].is_file) item.set("datalog_file", inputs[i].value);
-      try {
-        obs::Trace item_trace;  // per-item spans stay off the batch trace
-        DiagnoseOutcome out =
-            diagnose_one(*session, inputs[i], method, cancel, item_trace);
-        item.set("status", out.timed_out ? "timeout" : "ok");
-        if (out.timed_out) item.set("partial", true);
-        item.set("reports", reports_to_json(out.reports, session->netlist));
-        aggregator.record(VolumeAggregator::make_record(
-            i, out.log, out.reports, out.timed_out));
-        total_candidates.fetch_add(out.n_candidates,
-                                   std::memory_order_relaxed);
-        total_solo_computes.fetch_add(out.solo_computes,
-                                      std::memory_order_relaxed);
-      } catch (const std::exception& e) {
+      if (it.error.empty()) {
+        item.set("status", it.timed_out ? "timeout" : "ok");
+        if (it.timed_out) item.set("partial", true);
+        item.set("reports", std::move(reports));
+      } else {
         item.set("status", "error");
-        item.set("error", e.what());
+        item.set("error", it.error);
         DatalogVolumeRecord failed;
         failed.index = i;
         aggregator.record(std::move(failed));
         n_item_errors.fetch_add(1, std::memory_order_relaxed);
         volume_metrics().datalog_errors.inc();
       }
-      volume_metrics().datalog_ms.observe(ms_since(item_t0));
+      volume_metrics().datalog_ms.observe(it.t_context + it.t_diagnose);
       reorder.publish(i, std::move(item));
-    }
-  };
-
-  // The batch occupies ONE queue worker; datalog-level parallelism runs
-  // on private threads (the pool's nested-region guard would serialize
-  // a parallel_for issued from inside a pool worker). A thread that fails
-  // to start is not an error: the ones already running take its items.
-  std::vector<std::thread> group;
-  if (threads > 1) {
-    try {
-      group.reserve(threads);
-      while (group.size() < threads) group.emplace_back(worker);
-    } catch (const std::exception&) {
-    }
+      // The warm is over, so the context's counts are final; free it now
+      // rather than when the wave ends.
+      if (it.ctx != nullptr) {
+        total_candidates.fetch_add(it.ctx->n_candidates(),
+                                   std::memory_order_relaxed);
+        total_solo_computes.fetch_add(it.ctx->solo_compute_count(),
+                                      std::memory_order_relaxed);
+        it.ctx.reset();
+      }
+    });
   }
-  threads = std::max<std::size_t>(group.size(), 1);
-  if (group.empty()) worker();
-  for (std::thread& t : group) t.join();
+  threads = used;
   diagnose_span.close();
   const double t_diagnose = ms_since(t1);
 

@@ -1,5 +1,9 @@
 #include "server/signature_memo.hpp"
 
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
 #include "obs/metrics.hpp"
 
 namespace mdd::server {
@@ -34,36 +38,72 @@ SignatureMemo::SignatureMemo(std::size_t max_bytes)
 void SignatureMemo::lookup_many(
     std::span<const Fault> faults,
     std::span<std::shared_ptr<const ErrorSignature>> out) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (std::size_t k = 0; k < faults.size(); ++k)
-    out[k] = lookup_locked(faults[k]);
-}
-
-std::shared_ptr<const ErrorSignature> SignatureMemo::lookup_locked(
-    const Fault& f) {
-  if (const auto* sig = cache_.find(f)) return *sig;
-  if (dict_ != nullptr) {
-    if (auto idx = dict_->find(f)) {
-      try {
-        auto sig = std::make_shared<const ErrorSignature>(dict_->decode(*idx));
-        memo_metrics().store_hits.inc();
-        // Promote into the memory tier: repeat lookups become pointer
-        // copies and the clock policy decides how long it stays hot.
-        cache_.insert(f, sig);
-        return sig;
-      } catch (const store::StoreError&) {
-        // Structurally impossible after open-time hashing unless the file
-        // was truncated/rewritten underneath the mapping. Degrade to
-        // simulation permanently rather than rethrowing into a request.
-        memo_metrics().store_decode_failures.inc();
-        dict_ = nullptr;
+  std::vector<std::size_t> misses;  ///< keys the memory tier missed
+  std::shared_ptr<const store::DictReader> dict;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t k = 0; k < faults.size(); ++k) {
+      if (const auto* sig = cache_.find(faults[k])) {
+        out[k] = *sig;
+      } else {
+        out[k] = nullptr;
+        misses.push_back(k);
       }
-    } else {
-      memo_metrics().store_misses.inc();
+    }
+    dict = dict_;
+    if (dict == nullptr) {
+      for (std::size_t i = 0; i < misses.size(); ++i) cache_.record_miss();
+      return;
     }
   }
-  cache_.record_miss();
-  return nullptr;
+  // The store tier decodes outside the lock (the reader is immutable), so
+  // concurrent lookups decode in parallel; one re-lock promotes them.
+  // A key repeated among the misses decodes once; its later copies read
+  // as the memory hit (or the second miss) a serial lookup would count.
+  std::unordered_map<Fault, std::size_t, FaultHash> first_miss;
+  std::vector<std::pair<std::size_t, std::size_t>> repeats;  ///< (k, first)
+  bool failed = false;
+  for (const std::size_t k : misses) {
+    const auto [it, fresh] = first_miss.try_emplace(faults[k], k);
+    if (!fresh) {
+      repeats.emplace_back(k, it->second);
+      continue;
+    }
+    const auto idx = dict->find(faults[k]);
+    if (!idx) {
+      memo_metrics().store_misses.inc();
+      continue;
+    }
+    try {
+      out[k] = std::make_shared<const ErrorSignature>(dict->decode(*idx));
+      memo_metrics().store_hits.inc();
+    } catch (const store::StoreError&) {
+      // Structurally impossible after open-time hashing unless the file
+      // was truncated/rewritten underneath the mapping. Degrade to
+      // simulation permanently rather than rethrowing into a request.
+      memo_metrics().store_decode_failures.inc();
+      failed = true;
+      break;
+    }
+  }
+  for (const auto& [k, first] : repeats) {
+    out[k] = out[first];
+    if (out[k] == nullptr && !failed) memo_metrics().store_misses.inc();
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (failed && dict_ == dict) dict_ = nullptr;
+  for (const std::size_t k : misses) {
+    if (out[k] == nullptr) {
+      cache_.record_miss();
+    } else if (first_miss.at(faults[k]) != k) {
+      cache_.record_hit();  // a repeat of a key decoded above
+    } else {
+      // Promote into the memory tier, unless a concurrent lookup or a
+      // store() got there first: repeat lookups become pointer copies and
+      // the clock policy decides how long the entry stays hot.
+      cache_.insert(faults[k], out[k]);
+    }
+  }
 }
 
 void SignatureMemo::set_store(std::shared_ptr<const store::DictReader> dict) {

@@ -37,9 +37,11 @@ class SignatureMemo final : public SoloSignatureStore {
   /// signature larger than the whole budget is declined outright.
   explicit SignatureMemo(std::size_t max_bytes = 256ull << 20);
 
-  /// Takes the memo lock once for the whole batch. Per key the tiers
-  /// answer in order: memory, the mmap store (decoded and promoted into
-  /// memory), else null.
+  /// Per key the tiers answer in order: memory, the mmap store (decoded
+  /// and promoted into memory), else null. The memory tier answers under
+  /// one lock; store decodes run outside it, and one more lock promotes
+  /// them, so concurrent batches decode in parallel. Each key counts at
+  /// most one of store.hits / store.misses.
   void lookup_many(
       std::span<const Fault> faults,
       std::span<std::shared_ptr<const ErrorSignature>> out) override;
@@ -62,9 +64,6 @@ class SignatureMemo final : public SoloSignatureStore {
   CacheStats stats() const;
 
  private:
-  /// One key through every tier; the caller holds mutex_.
-  std::shared_ptr<const ErrorSignature> lookup_locked(const Fault& f);
-
   mutable std::mutex mutex_;
   ClockCache<Fault, std::shared_ptr<const ErrorSignature>, FaultHash> cache_;
   std::shared_ptr<const store::DictReader> dict_;  ///< warm tier, may be null

@@ -9,16 +9,23 @@
 // read as deltas of each memo's registry series.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "diag/composite_memo.hpp"
+#include "fsim/propagate.hpp"
+#include "netlist/generator.hpp"
 #include "obs/metrics.hpp"
 #include "server/signature_memo.hpp"
 #include "server/trace_memo.hpp"
+#include "store/format.hpp"
+#include "store/reader.hpp"
+#include "store/writer.hpp"
 
 namespace mdd {
 namespace {
@@ -214,6 +221,102 @@ TYPED_TEST(MemoEviction, ConcurrentChurnStaysWithinBudget) {
   EXPECT_LE(stats.approx_bytes, budget);
   EXPECT_EQ(stats.approx_bytes, stats.entries * cost);
   EXPECT_GT(this->count("hits") + this->count("misses"), lookups_before);
+}
+
+/// The signature memo over an mmap store decodes store hits outside its
+/// lock. Concurrent batch lookups must return exactly what serial ones
+/// do, count one outcome per key lookup, and promote each store key once.
+TEST(SignatureMemoStore, ConcurrentBatchLookupsMatchSerialOnes) {
+  const Netlist netlist = make_named_circuit("g200");
+  const PatternSet patterns =
+      PatternSet::random(96, netlist.n_inputs(), 0x5107);
+  std::vector<Fault> universe = store::default_store_universe(netlist);
+  ASSERT_GE(universe.size(), 200u);
+  universe.resize(200);
+  const std::string path =
+      ::testing::TempDir() + "memo_concurrent" + store::kStoreExtension;
+  store::DictWriter(netlist, patterns).write(path, universe);
+  const auto dict = store::DictReader::open(path);
+
+  // Store keys (decoded), keys in no tier (transition faults are never in
+  // a static store), and two keys the memory tier already holds.
+  std::vector<Fault> keys = universe;
+  for (std::uint32_t n = 0; n < 20; ++n) keys.push_back(Fault::slow_to_rise(n));
+  const std::vector<Fault> resident{keys[0], keys[1]};
+  SingleFaultPropagator prop(netlist, patterns);
+  const auto make_memo = [&] {
+    auto memo = std::make_unique<server::SignatureMemo>(64ull << 20);
+    memo->set_store(dict);
+    for (const Fault& f : resident)
+      memo->store(f, std::make_shared<const ErrorSignature>(prop.signature(f)));
+    return memo;
+  };
+
+  // Each caller walks every key in chunks of 16, from its own offset.
+  constexpr std::size_t kCallers = 4;
+  constexpr std::size_t kChunk = 16;
+  using Found = std::vector<std::shared_ptr<const ErrorSignature>>;
+  const auto walk = [&](server::SignatureMemo& memo, std::size_t caller,
+                        Found& got) {
+    got.assign(keys.size(), nullptr);
+    const std::size_t n_chunks = (keys.size() + kChunk - 1) / kChunk;
+    for (std::size_t c = 0; c < n_chunks; ++c) {
+      const std::size_t b = ((c + caller * 5) % n_chunks) * kChunk;
+      const std::size_t len = std::min(kChunk, keys.size() - b);
+      memo.lookup_many(std::span<const Fault>(keys).subspan(b, len),
+                       std::span(got).subspan(b, len));
+    }
+  };
+  const std::vector<std::string> names{
+      "memo.signature.hits", "memo.signature.misses", "memo.signature.inserts",
+      "store.hits", "store.misses", "store.decode_failures"};
+  const auto counters = [&] {
+    std::vector<std::uint64_t> v;
+    for (const std::string& n : names)
+      v.push_back(obs::registry().counter(n).value());
+    return v;
+  };
+  const auto run = [&](bool concurrent, std::vector<Found>& got) {
+    auto memo = make_memo();
+    got.assign(kCallers, Found{});
+    const std::vector<std::uint64_t> before = counters();
+    if (concurrent) {
+      std::vector<std::thread> threads;
+      for (std::size_t t = 0; t < kCallers; ++t)
+        threads.emplace_back([&, t] { walk(*memo, t, got[t]); });
+      for (std::thread& t : threads) t.join();
+    } else {
+      for (std::size_t t = 0; t < kCallers; ++t) walk(*memo, t, got[t]);
+    }
+    std::vector<std::uint64_t> delta = counters();
+    for (std::size_t i = 0; i < delta.size(); ++i) delta[i] -= before[i];
+    return delta;
+  };
+
+  std::vector<Found> serial;
+  std::vector<Found> concurrent;
+  const std::vector<std::uint64_t> s = run(false, serial);
+  const std::vector<std::uint64_t> c = run(true, concurrent);
+  for (std::size_t t = 0; t < kCallers; ++t)
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      ASSERT_EQ(concurrent[t][k] == nullptr, serial[t][k] == nullptr) << k;
+      if (serial[t][k] != nullptr) {
+        EXPECT_EQ(*concurrent[t][k], *serial[t][k]) << "key " << k;
+      }
+    }
+
+  // Which of two racing lookups decodes and which hits memory is timing,
+  // but each lookup counts one outcome, misses are exact, and each store
+  // key is promoted once.
+  const std::uint64_t lookups = kCallers * keys.size();
+  EXPECT_EQ(s[0] + s[1] + s[3], lookups);
+  EXPECT_EQ(c[0] + c[1] + c[3], lookups);
+  EXPECT_EQ(c[1], s[1]) << "memo.signature.misses";
+  EXPECT_EQ(c[4], s[4]) << "store.misses";
+  EXPECT_EQ(c[1], kCallers * 20) << "every transition key misses";
+  EXPECT_EQ(c[2], s[2]) << "memo.signature.inserts";
+  EXPECT_EQ(s[2], universe.size() - resident.size());
+  EXPECT_EQ(c[5], 0u);
 }
 
 }  // namespace

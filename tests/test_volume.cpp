@@ -12,12 +12,15 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/cancel.hpp"
 #include "diag/datalog.hpp"
+#include "diag/diagnosis.hpp"
 #include "diag/volume.hpp"
 #include "fsim/fsim.hpp"
 #include "netlist/bench_parser.hpp"
@@ -289,6 +292,9 @@ struct BatchFixture {
   std::string netlist_path;
   std::string patterns_path;
   std::vector<std::string> datalog_texts;
+  /// Per defect, the datalog of an ATE that stopped after two failing
+  /// patterns: a shorter window over the same defect.
+  std::vector<std::string> truncated_texts;
 
   static BatchFixture make(const std::string& tag,
                            std::size_t n_datalogs = 3) {
@@ -312,6 +318,14 @@ struct BatchFixture {
       std::ostringstream dl;
       write_datalog(dl, log, netlist);
       f.datalog_texts.push_back(dl.str());
+      DatalogOptions ate;
+      ate.max_failing_patterns = 2;
+      const Datalog cut = datalog_from_defect(netlist, defect, patterns,
+                                              fsim.good_response(), ate);
+      EXPECT_LT(cut.n_patterns_applied, log.n_patterns_applied);
+      std::ostringstream tl;
+      write_datalog(tl, cut, netlist);
+      f.truncated_texts.push_back(tl.str());
     }
     return f;
   }
@@ -355,7 +369,9 @@ std::vector<std::string> sequential_single_reports(
 }
 
 TEST(DiagnoseBatch, ReportsMatchSequentialSinglesAtEveryThreadCount) {
-  const BatchFixture f = BatchFixture::make("bytes");
+  BatchFixture f = BatchFixture::make("bytes");
+  // A truncated copy shares its defect's faults under a shorter window.
+  f.datalog_texts.push_back(f.truncated_texts[0]);
   const std::vector<std::string> singles = sequential_single_reports(f);
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
@@ -411,6 +427,86 @@ TEST(DiagnoseBatch, RepeatedDatalogsAmortizeAndStayIdentical) {
   EXPECT_GT(candidates, 0.0);
   EXPECT_LE(computes, candidates / 2.0)
       << "a 3x-repeated stream must hit the memo for most slots";
+}
+
+TEST(DiagnoseBatch, EachCandidateFaultIsSimulatedOncePerWave) {
+  // One wave (2 threads: up to 4 items): a truncated copy of defect 0
+  // ahead of its full datalog, a repeat of that datalog, and defect 1.
+  // The truncated item cannot store a window-cut result, so warming item
+  // by item simulated its faults once for it and again for the full one.
+  BatchFixture f = BatchFixture::make("once", 2);
+  f.datalog_texts = {f.truncated_texts[0], f.datalog_texts[0],
+                     f.datalog_texts[0], f.datalog_texts[1]};
+  const std::vector<std::string> singles = sequential_single_reports(f);
+
+  // The wave's distinct candidate faults, from contexts over the circuit
+  // as the service parses it.
+  const Netlist netlist = parse_bench_file(f.netlist_path).netlist;
+  const PatternSet patterns = read_patterns_file(f.patterns_path);
+  std::set<Fault> distinct;
+  std::size_t slots = 0;
+  for (const std::string& text : f.datalog_texts) {
+    std::istringstream in(text);
+    const Datalog log = read_datalog(in, netlist);
+    DiagnosisContext ctx(netlist, patterns, log);
+    for (std::size_t i = 0; i < ctx.n_candidates(); ++i)
+      distinct.insert(ctx.candidate(i));
+    slots += ctx.n_candidates();
+  }
+  ASSERT_LT(distinct.size(), slots);
+
+  DiagnosisService service;  // fresh: empty memos
+  const std::uint64_t diag_before =
+      obs::registry().counter("diag.solo_computes").value();
+  const std::uint64_t volume_before =
+      obs::registry().counter("volume.solo_computes").value();
+  const Json response = service.handle(f.batch_request(2));
+  ASSERT_EQ(response.get_string("status"), "ok") << response.dump();
+  const Json* amortization = response.find("amortization");
+  ASSERT_NE(amortization, nullptr);
+  EXPECT_EQ(static_cast<std::size_t>(amortization->get_number("candidates")),
+            slots);
+  EXPECT_EQ(
+      static_cast<std::size_t>(amortization->get_number("solo_computes")),
+      distinct.size());
+  EXPECT_EQ(obs::registry().counter("volume.solo_computes").value() -
+                volume_before,
+            distinct.size());
+  EXPECT_EQ(obs::registry().counter("diag.solo_computes").value() -
+                diag_before,
+            distinct.size());
+
+  const JsonArray& results = response.find("results")->as_array();
+  ASSERT_EQ(results.size(), singles.size());
+  for (std::size_t i = 0; i < results.size(); ++i)
+    EXPECT_EQ(results[i].find("reports")->dump(), singles[i]) << i;
+}
+
+TEST(DiagnoseBatch, DeadlineInsideTheWarmStillAnswersEveryItem) {
+  // A token that is already cancelled trips at the warm's first check:
+  // the lookups ran, no simulation did. Every item must still answer,
+  // its cold slots filled lazily by the ranking.
+  BatchFixture f = BatchFixture::make("deadline", 2);
+  f.datalog_texts.push_back(f.truncated_texts[0]);
+  f.datalog_texts.push_back(f.datalog_texts[0]);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    DiagnosisService service;
+    CancelToken token;
+    token.request_cancel();
+    const Json response =
+        service.handle(f.batch_request(threads, "multiplet"), &token);
+    ASSERT_EQ(response.get_string("status"), "timeout") << response.dump();
+    EXPECT_TRUE(response.get_bool("partial"));
+    const JsonArray& results = response.find("results")->as_array();
+    ASSERT_EQ(results.size(), f.datalog_texts.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      EXPECT_EQ(static_cast<std::size_t>(results[i].get_number("index")), i);
+      const std::string status = results[i].get_string("status");
+      EXPECT_TRUE(status == "ok" || status == "timeout") << status;
+      EXPECT_NE(results[i].find("reports"), nullptr) << i;
+    }
+    EXPECT_EQ(static_cast<std::size_t>(response.get_number("n_errors")), 0u);
+  }
 }
 
 TEST(DiagnoseBatch, RequestedThreadsAreCappedByTheHost) {
